@@ -246,6 +246,13 @@ class SweepConfig:
     time_budget: Optional[float]
     attempts: int = 3
 
+    def __post_init__(self):
+        # a budget would cut the serial run at a timing-dependent trial, while
+        # the parallel run has already submitted every trial: refuse rather
+        # than let the flag mean different things in the two modes
+        if self.time_budget and self.workers > 1:
+            raise ValueError("--time-budget cannot be combined with --workers > 1")
+
     def cells(self) -> list[tuple[int, int]]:
         return [(n, ell) for n in self.n_values for ell in self.ell_for[n]]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .lifts import LiftGraph, VertexId
+from .lifts import LiftGraph, VertexId, _json_object, _pair_key
 
 __all__ = [
     "CertificateFormatError",
@@ -182,14 +182,7 @@ def serialize_certificate(cert: SubdivisionCertificate) -> bytes:
 
 
 def certificate_from_json(text: str | bytes) -> SubdivisionCertificate:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CertificateFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise CertificateFormatError("top-level value must be an object")
+    obj = _json_object(text, CertificateFormatError)
     for field in ("branch", "paths"):
         if field not in obj:
             raise CertificateFormatError(f"missing field '{field}'")
@@ -197,8 +190,9 @@ def certificate_from_json(text: str | bytes) -> SubdivisionCertificate:
         raise CertificateFormatError("field 'branch' must be an array")
 
     def parse_vertex(raw, where: str) -> VertexId:
-        if (not isinstance(raw, list) or len(raw) != 2
-                or not all(isinstance(x, int) for x in raw)):
+        # type(x) is int: JSON true/false decode to bool, a subclass of int
+        if not (isinstance(raw, list) and len(raw) == 2
+                and type(raw[0]) is int and type(raw[1]) is int):
             raise CertificateFormatError(f"{where} must be a [fiber, layer] integer pair")
         return VertexId(raw[0], raw[1])
 
@@ -207,14 +201,13 @@ def certificate_from_json(text: str | bytes) -> SubdivisionCertificate:
         raise CertificateFormatError("field 'paths' must be an object")
     paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
     for key, raw_path in obj["paths"].items():
-        parts = key.split("-")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise CertificateFormatError(f"paths key '{key}' must have the form 'i-j'")
-        i, j = int(parts[0]), int(parts[1])
-        if i >= j:
+        pair = _pair_key(key)
+        if pair is None:
+            raise CertificateFormatError(f"paths key '{key}' must have the canonical form 'i-j'")
+        if pair[0] >= pair[1]:
             raise CertificateFormatError(f"paths key '{key}' must satisfy i < j")
         if not isinstance(raw_path, list):
             raise CertificateFormatError(f"paths['{key}'] must be an array")
-        paths[(i, j)] = tuple(
+        paths[pair] = tuple(
             parse_vertex(v, f"paths['{key}'][{k}]") for k, v in enumerate(raw_path))
     return SubdivisionCertificate(branch=branch, paths=paths)

@@ -209,3 +209,18 @@ def test_props_cross_matching_cli(tmp_path, capsys):
     assert run(["props", "cross-matching", "-i", lift, "--transversals", tfile]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["covered"] + out["uncovered"] == 3
+
+
+def test_sweep_refuses_time_budget_in_parallel(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("liftsub.cli.ProcessPoolExecutor", no_pool)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--n-list", "7", "--ell-list", "12", "--trials", 1,
+            "--builder", "large", "--time-budget", 60, "-o", out]
+    assert run(args + ["--workers", 2]) == 2
+    assert "--time-budget" in capsys.readouterr().err
+    monkeypatch.setenv("LIFTSUB_WORKERS", "2")
+    assert run(args) == 2  # workers from the environment
+    assert not out.exists()

@@ -1,12 +1,13 @@
 """Core lift representation, sampling, and serialization."""
 
 import json
+import time
 
 import pytest
 
 from liftsub import (BaseGraph, LiftFormatError, LiftGraph, VertexId, complete_base,
                      deserialize, sample_uniform_lift, serialize)
-from liftsub.lifts import lift_from_json, lift_to_json
+from liftsub.lifts import derive_rng, lift_from_json, lift_to_json
 
 
 def test_complete_base_small():
@@ -141,3 +142,75 @@ def test_general_base_graph_supported():
     assert G.num_vertices == 12
     assert len(G.neighbors(VertexId(0, 0))) == 1
     assert len(G.neighbors(VertexId(1, 0))) == 2
+
+
+SAMPLER_BASES = [complete_base(6), BaseGraph(7, ((0, 3), (1, 2), (2, 6), (4, 5)))]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 12345])
+@pytest.mark.parametrize("ell", [1, 2, 3, 80])
+@pytest.mark.parametrize("base", SAMPLER_BASES, ids=["complete", "sparse"])
+def test_sampler_matches_derive_rng(base, ell, seed):
+    """The batched sampler reproduces the per-edge reference stream exactly."""
+    G = sample_uniform_lift(base, ell, seed)
+    assert list(G.matchings) == list(base.edges)
+    for (i, j), perm in G.matchings.items():
+        assert perm == tuple(derive_rng(seed, i, j).permutation(ell))
+
+
+def test_sampler_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        sample_uniform_lift(complete_base(3), 2, seed=-1)
+
+
+def test_load_has_no_quadratic_cliff():
+    G = sample_uniform_lift(complete_base(300), 3, seed=0)
+    start = time.perf_counter()
+    assert deserialize(serialize(G)) == G
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda m: m.update({"0-1": [0, 1]}), "0-1"),            # wrong length
+    (lambda m: m.update({"0-2": [0, 1, 3]}), "0-2"),         # value out of range
+    (lambda m: m.update({"0-3": [0, 1, 2]}), "0-3"),         # not a base edge
+    (lambda m: m.update({"1-2": [0, 1, True]}), "1-2"),      # boolean entry
+    (lambda m: m.update({"1-2": [0, 1, 2.0]}), "1-2"),       # float entry
+])
+def test_deserialize_errors_name_the_key(edit, fragment):
+    obj = json.loads(lift_to_json(sample_uniform_lift(complete_base(3), 3, seed=0)))
+    edit(obj["matchings"])
+    with pytest.raises(LiftFormatError, match=fragment):
+        lift_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("alias", ["00-1", "0-01", "٠-١", "+0-1", " 0-1", "0-1 ", "0_0-1", "0--1"])
+def test_deserialize_rejects_non_canonical_keys(alias):
+    obj = json.loads(lift_to_json(sample_uniform_lift(complete_base(3), 3, seed=0)))
+    both = json.loads(json.dumps(obj))
+    both["matchings"][alias] = [2, 1, 0]  # next to the canonical "0-1"
+    with pytest.raises(LiftFormatError, match="canonical"):
+        lift_from_json(json.dumps(both))
+    obj["matchings"][alias] = obj["matchings"].pop("0-1")  # in its place
+    with pytest.raises(LiftFormatError, match="canonical"):
+        lift_from_json(json.dumps(obj))
+
+
+def test_deserialize_rejects_repeated_json_keys():
+    text = lift_to_json(sample_uniform_lift(complete_base(3), 3, seed=0))
+    twice = text.replace('"matchings":{', '"matchings":{"0-1":[2,1,0],', 1)
+    with pytest.raises(LiftFormatError, match="twice"):
+        lift_from_json(twice)
+    with pytest.raises(LiftFormatError, match="twice"):
+        lift_from_json('{"n":1,' + text[1:])
+
+
+@pytest.mark.parametrize("text", [
+    '{"n":true,"ell":1,"base_edges":[],"matchings":{}}',
+    '{"n":2,"ell":true,"base_edges":[[0,1]],"matchings":{"0-1":[0]}}',
+    '{"n":2,"ell":2,"base_edges":[[false,true]],"matchings":{"0-1":[true,false]}}',
+    '{"n":2,"ell":2,"base_edges":[[0,1]],"matchings":{"0-1":[true,false]}}',
+])
+def test_deserialize_rejects_booleans_as_integers(text):
+    with pytest.raises(LiftFormatError):
+        lift_from_json(text)

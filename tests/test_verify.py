@@ -164,3 +164,29 @@ def test_vertex_count_tracks_path_internals():
             break
     cert = SubdivisionCertificate((u, v), {(0, 1): (u, m, v)})
     assert certificate_vertex_count(cert) == 3
+
+
+@pytest.mark.parametrize("text", [
+    '{"branch": [[0,0],[1,0]], "paths": {"00-1": [[0,0],[1,0]]}}',
+    '{"branch": [[0,0],[1,0]], "paths": {"0-01": [[0,0],[1,0]]}}',
+    '{"branch": [[0,0],[1,0]], "paths": {"٠-١": [[0,0],[1,0]]}}',
+    '{"branch": [[0,0],[1,0]], "paths": {"0-1": [[0,0],[1,0]], "00-1": [[0,0],[1,0]]}}',
+])
+def test_certificate_rejects_non_canonical_keys(text):
+    with pytest.raises(CertificateFormatError, match="canonical"):
+        certificate_from_json(text)
+
+
+def test_certificate_rejects_repeated_json_keys():
+    with pytest.raises(CertificateFormatError, match="twice"):
+        certificate_from_json('{"branch": [[0,0],[1,0]], "paths": {"0-1": [[0,0],[1,0]], '
+                              '"0-1": [[0,0],[2,0],[1,0]]}}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"branch": [[false,0],[1,0]], "paths": {"0-1": [[0,0],[1,0]]}}',
+    '{"branch": [[0,0],[1,0]], "paths": {"0-1": [[0,0],[1,true]]}}',
+])
+def test_certificate_rejects_booleans_as_integers(text):
+    with pytest.raises(CertificateFormatError, match="integer pair"):
+        certificate_from_json(text)
