@@ -3,10 +3,8 @@
 from .build import (BuildConfig, BuildFailure, BuildOutcome, BuildStats,
                     build_large_ell, build_small_ell, default_extendability_params,
                     target_order)
-from .connect import (BatchConnectResult, EmbeddingState, ExtendabilityParams,
-                      ExtendabilityReport, NoPathWithinBudget, PathResult, RetryPolicy,
-                      batch_connect, check_extendable, connect, connect_between_sets,
-                      default_max_len)
+from .connect import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget,
+                      connect_between_sets, default_max_len)
 from .exact import (HajosResult, NonexistenceVerdict, OracleBudget, SimpleGraph,
                     check_property_P, exact_avoidance_probability, exact_hajos_number,
                     lift_to_simple, max_edges_on_b_subset, search_property_P_violator,

@@ -68,35 +68,24 @@ class BuildConfig:
 
     The conservative constants from the original asymptotic analysis (prune
     threshold eps*b/40, star size eps*b/40, cross-matching reserved for
-    ell <= gamma^3*n^2/48) are unusable at experiment scale; the practical
-    defaults divide by 4 instead of 40 and always take the cross-matching.
-    `paper_constants=True` restores the conservative set.
+    ell <= gamma^3*n^2/48 with gamma = eps/11) are unusable at experiment
+    scale; the practical defaults divide by 4 instead of 40 and always take
+    the cross-matching.  `paper_constants=True` restores the conservative set.
     """
 
     epsilon: float = 0.1
-    gamma: Optional[float] = None  # defaults to epsilon / 11
-    params: Optional[ExtendabilityParams] = None  # defaults per instance
+    params: Optional[ExtendabilityParams] = None  # routing budget; defaults per instance
     seed: int = 0
     attempts: int = 3
-    max_len: Optional[int] = None
     paper_constants: bool = False
     prune_divisor: float = 4.0
     star_divisor: float = 4.0
-    min_branch_fraction: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if not (0 <= self.min_branch_fraction <= 1):
-            raise ValueError("min_branch_fraction must lie in [0, 1]")
-
-    @property
-    def effective_gamma(self) -> float:
-        return self.gamma if self.gamma is not None else self.epsilon / 11.0
 
     @property
     def effective_prune_divisor(self) -> float:
@@ -182,8 +171,7 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         warnings.warn(
             f"ell={ell} is below (1+eps)*n = {(1 + cfg.epsilon) * n:g}; "
             "running as an off-regime experiment", RuntimeWarning, stacklevel=2)
-    params = cfg.resolve_params(n, ell)
-    max_len = cfg.max_len if cfg.max_len is not None else default_max_len(params)
+    max_len = default_max_len(cfg.resolve_params(n, ell))
     stats = BuildStats(builder="large", target=float(n))
     if ell < n:
         return BuildOutcome(certificate=None, stats=stats,
@@ -213,8 +201,7 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
 
         # the branch vertices block their fiber-mates only where chosen; the
         # remaining ell-n fiber-W vertices stay routable
-        state = EmbeddingState(params)
-        state.add_vertices(branch)
+        state = EmbeddingState(G, branch)
         for t in trans:
             state.add_vertices(t.values())
 
@@ -224,9 +211,9 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
 
         # the cross-matching only ever helps, so the practical default always
         # takes it; under the stated constants it is reserved for short lifts
-        gamma = cfg.effective_gamma
+        gamma = cfg.epsilon / 11.0
         if cfg.paper_constants and ell > gamma ** 3 * n ** 2 / 48:
-            matching = CrossMatching(edges=frozenset(), covered_pairs=frozenset())
+            matching = CrossMatching(by_pair={})
         else:
             matching = find_cross_matching(G, [[t[f] for f in order] for t in trans])
         used: set[VertexId] = set()
@@ -239,7 +226,7 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
             used.add(y)
         stats.direct_edges = len(matching.by_pair)
 
-        pending = [p for p in combinations(range(n), 2) if p not in matching.covered_pairs]
+        pending = [p for p in combinations(range(n), 2) if p not in matching.by_pair]
         if attempt > 0 and rng_bfs is not None:
             pending = [pending[k] for k in rng_bfs.permutation(len(pending))]
         failed_pair: Optional[tuple[int, int]] = None
@@ -247,16 +234,16 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
             sources = [v for v in trans[i].values() if v not in used]
             targets = [v for v in trans[j].values() if v not in used]
             try:
-                res = connect_between_sets(G, state, sources, targets,
-                                           max_len=max_len, rng=rng_bfs)
+                path = connect_between_sets(G, state, sources, targets,
+                                            max_len=max_len, rng=rng_bfs)
             except NoPathWithinBudget:
                 failed_pair = (i, j)
                 break
-            paths[(i, j)] = (branch[i],) + res.path + (branch[j],)
-            used.add(res.path[0])
-            used.add(res.path[-1])
+            paths[(i, j)] = (branch[i],) + path + (branch[j],)
+            used.add(path[0])
+            used.add(path[-1])
             stats.connector_paths += 1
-            stats.max_connector_len = max(stats.max_connector_len, res.length)
+            stats.max_connector_len = max(stats.max_connector_len, len(path) - 1)
         if failed_pair is not None:
             last_failure = BuildFailure(
                 "connector", f"no admissible path for transversal pair {failed_pair} "
@@ -314,8 +301,7 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
     b = math.ceil((1 - 2 * eps) * tgt)
     f1_count = math.ceil((1 - eps) * n)
     f2_count = n - f1_count
-    params = cfg.resolve_params(n, ell)
-    max_len = cfg.max_len if cfg.max_len is not None else default_max_len(params)
+    max_len = default_max_len(cfg.resolve_params(n, ell))
     stats = BuildStats(builder="small", target=tgt)
     if b < 1:
         return BuildOutcome(certificate=None, stats=stats,
@@ -330,7 +316,7 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
     f2_fibers = list(range(f1_count, n))
     prune_threshold = eps * b / cfg.effective_prune_divisor
     star_size = max(1, math.ceil(eps * b / cfg.effective_star_divisor))
-    floor = math.ceil(cfg.min_branch_fraction * b)
+    floor = math.ceil(0.5 * b)  # fewer surviving branch vertices is a failure
 
     last_failure = BuildFailure("connector", "unreached")
     for attempt in range(cfg.attempts):
@@ -344,8 +330,8 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
             branch = [VertexId(f, int(rng.integers(ell))) for f in fibers]
             rng_bfs = rng
         outcome = _small_ell_attempt(
-            G, cfg, branch, f1_fibers, f2_fibers, prune_threshold, star_size,
-            floor, params, max_len, rng_bfs, stats)
+            G, branch, f1_fibers, f2_fibers, prune_threshold, star_size,
+            floor, max_len, rng_bfs, stats)
         if isinstance(outcome, BuildFailure):
             last_failure = outcome
             continue
@@ -355,14 +341,12 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
 
 def _small_ell_attempt(
     G: LiftGraph,
-    cfg: BuildConfig,
     branch: list[VertexId],
     f1_fibers: list[int],
     f2_fibers: list[int],
     prune_threshold: float,
     star_size: int,
     floor: int,
-    params: ExtendabilityParams,
     max_len: int,
     rng_bfs: Optional[np.random.Generator],
     stats: BuildStats,
@@ -475,7 +459,7 @@ def _small_ell_attempt(
         pending_pairs = [p for p in pending_pairs if p[0] in alive and p[1] in alive]
 
     # stage 6: connect star leaves inside the reserved block
-    state = EmbeddingState(params)
+    state = EmbeddingState(G)
     for g in f1_fibers:
         state.add_vertices(VertexId(g, a) for a in range(G.ell))
     for leaves in star_leaves.values():
@@ -493,7 +477,7 @@ def _small_ell_attempt(
         try:
             if not src or not dst:
                 raise NoPathWithinBudget("star leaves exhausted")
-            res = connect_between_sets(G, state, src, dst, max_len=max_len, rng=rng_bfs)
+            path = connect_between_sets(G, state, src, dst, max_len=max_len, rng=rng_bfs)
         except NoPathWithinBudget:
             # drop the endpoint with more remaining obligations and move on
             rem_i = sum(1 for p in pending_pairs if i in p and p[0] in alive and p[1] in alive)
@@ -505,11 +489,11 @@ def _small_ell_attempt(
                 return BuildFailure("connector", f"pruned-too-many while routing: "
                                                  f"{len(alive)} of {b} survive")
             continue
-        consumed_leaves.add(res.path[0])
-        consumed_leaves.add(res.path[-1])
-        paths[pair] = (branch[i],) + res.path + (branch[j],)
+        consumed_leaves.add(path[0])
+        consumed_leaves.add(path[-1])
+        paths[pair] = (branch[i],) + path + (branch[j],)
         stats.connector_paths += 1
-        stats.max_connector_len = max(stats.max_connector_len, res.length)
+        stats.max_connector_len = max(stats.max_connector_len, len(path) - 1)
 
     final = sorted(alive)
     index = {old: new for new, old in enumerate(final)}

@@ -80,7 +80,7 @@ def _build_config(args, seed: int) -> BuildConfig:
     params = None
     if args.big_d is not None or args.m is not None:
         if args.big_d is None or args.m is None:
-            raise SystemExit("--D and --m must be given together")
+            raise ValueError("--D and --m must be given together")
         params = ExtendabilityParams(D=args.big_d, m=args.m)
     return BuildConfig(epsilon=args.epsilon, seed=seed, attempts=args.attempts,
                        params=params, paper_constants=args.paper_constants)
@@ -173,19 +173,18 @@ def cmd_props(args) -> int:
             out["violating_set"] = sorted(map(tuple, report.violating_set))
         _emit(out, args.format)
         return 0 if report.violating_set is None else 1
-    if args.prop == "cross-matching":
-        data = json.loads(Path(args.transversals).read_text())
-        transversals = [[VertexId(int(f), int(l)) for f, l in T] for T in data]
-        M = props_mod.find_cross_matching(G, transversals)
-        total = math.comb(len(transversals), 2)
-        _emit({
-            "covered_pairs": sorted(M.covered_pairs),
-            "covered": len(M.covered_pairs),
-            "uncovered": total - len(M.covered_pairs),
-            "edges": sorted([list(u), list(v)] for u, v in M.edges),
-        }, args.format)
-        return 0
-    raise SystemExit(f"unknown props subcommand {args.prop}")
+    # cross-matching: the last of the parser's fixed choices
+    data = json.loads(Path(args.transversals).read_text())
+    transversals = [[VertexId(int(f), int(l)) for f, l in T] for T in data]
+    M = props_mod.find_cross_matching(G, transversals)
+    total = math.comb(len(transversals), 2)
+    _emit({
+        "covered_pairs": sorted(M.covered_pairs),
+        "covered": len(M.covered_pairs),
+        "uncovered": total - len(M.covered_pairs),
+        "edges": sorted([list(u), list(v)] for u, v in M.edges),
+    }, args.format)
+    return 0
 
 
 # --- oracle -------------------------------------------------------------------
@@ -220,13 +219,12 @@ def cmd_oracle(args) -> int:
             out["violator"] = sorted(map(tuple, res.violator))
         _emit(out, args.format)
         return 1 if res.violator is not None else 0
-    if args.op == "avoidance-exact":
-        pairs = json.loads(Path(args.pairs).read_text()) if args.pairs else []
-        value = exact_mod.exact_avoidance_probability(
-            [(int(a), int(b)) for a, b in pairs], ell=args.ell)
-        _emit({"probability": str(value), "float": float(value)}, args.format)
-        return 0
-    raise SystemExit(f"unknown oracle subcommand {args.op}")
+    # avoidance-exact: the last of the parser's fixed choices
+    pairs = json.loads(Path(args.pairs).read_text()) if args.pairs else []
+    value = exact_mod.exact_avoidance_probability(
+        [(int(a), int(b)) for a, b in pairs], ell=args.ell)
+    _emit({"probability": str(value), "float": float(value)}, args.format)
+    return 0
 
 
 # --- sweep --------------------------------------------------------------------
@@ -359,9 +357,9 @@ def cmd_sweep(args) -> int:
         ratios = [float(x) for x in args.ratio_list.split(",")]
         ell_for = {n: tuple(max(2, math.ceil(r * n)) for r in ratios) for n in n_values}
     else:
-        raise SystemExit("one of --ell-list / --ratio-list is required")
+        raise ValueError("one of --ell-list / --ratio-list is required")
     if args.trials < 1:
-        raise SystemExit("--trials must be >= 1")
+        raise ValueError("--trials must be >= 1")
     workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
     cfg = SweepConfig(n_values=n_values, ell_for=ell_for, trials=args.trials,
                       epsilon=args.epsilon, seed=args.seed, builder=args.builder,
@@ -428,7 +426,6 @@ def _make_parser() -> argparse.ArgumentParser:
     q.add_argument("--transversals", required=True)
     q.add_argument("--format", choices=["json", "text"], default="json")
     q = ps.add_parser("avoidance")
-    q.add_argument("--input", "-i", required=False, default=None)
     q.add_argument("--ell", type=int, required=True)
     q.add_argument("--pairs", default=None)
     q.add_argument("--trials", type=int, default=10000)

@@ -1,33 +1,26 @@
-"""Embedding state and short-path routing between prescribed endpoints.
+"""Embedding state and short-path routing between prescribed endpoint pools.
 
 The growing subgraph S tracks which lift vertices are already committed to
 the construction; new connecting paths must keep their internal vertices
-outside S.  Routing is breadth-first search, so a failure means no path of
+outside S.  Both builders route through the one primitive here,
+`connect_between_sets`: breadth-first search, so a failure means no path of
 the requested length exists in the current state, not a heuristic miss.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lifts import LiftGraph, VertexId, derive_rng
+from .lifts import LiftGraph, VertexId
 
 __all__ = [
-    "BatchConnectResult",
     "EmbeddingState",
     "ExtendabilityParams",
-    "ExtendabilityReport",
     "NoPathWithinBudget",
-    "PathResult",
-    "RetryPolicy",
-    "batch_connect",
-    "check_extendable",
-    "connect",
     "connect_between_sets",
     "default_max_len",
 ]
@@ -54,197 +47,46 @@ def default_max_len(params: ExtendabilityParams) -> int:
     return 3 * math.ceil(math.log(2 * params.m) / math.log(params.D - 1))
 
 
-@dataclass(frozen=True)
-class PathResult:
-    path: tuple[VertexId, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.path) - 1
-
-    @property
-    def internal(self) -> tuple[VertexId, ...]:
-        return self.path[1:-1]
-
-
 class EmbeddingState:
-    """The growing subgraph S: vertices, within-S degrees, and used edges."""
+    """The growing subgraph S of a lift, in flat vertex ids.
 
-    def __init__(self, params: ExtendabilityParams, vertices: Iterable[VertexId] = ()):
-        self.params = params
-        self._vertices: set[VertexId] = {VertexId(int(v[0]), int(v[1])) for v in vertices}
-        self._degree: dict[VertexId, int] = {}
-        self._edges: set[tuple[VertexId, VertexId]] = set()
+    `blocked` holds the vertices of S; `used_edges` holds every edge of S in
+    both orientations, so a routing hop (x, w) is looked up as given.
+    """
 
-    @property
-    def vertices(self) -> frozenset[VertexId]:
-        return frozenset(self._vertices)
+    def __init__(self, G: LiftGraph, vertices: Iterable[VertexId] = ()):
+        self.graph = G
+        self.blocked: set[int] = set()
+        self.used_edges: set[tuple[int, int]] = set()
+        self.add_vertices(vertices)
 
-    @property
-    def used_edges(self) -> frozenset[tuple[VertexId, VertexId]]:
-        return frozenset(self._edges)
-
-    def __contains__(self, v: VertexId) -> bool:
-        return v in self._vertices
-
-    def __len__(self) -> int:
-        return len(self._vertices)
-
-    def degree(self, v: VertexId) -> int:
-        return self._degree.get(v, 0)
+    def _flat(self, v: VertexId) -> int:
+        return self.graph.flat_id(self.graph._check_vertex(v))
 
     def add_vertices(self, vs: Iterable[VertexId]) -> None:
-        self._vertices.update(VertexId(int(v[0]), int(v[1])) for v in vs)
+        self.blocked.update(self._flat(v) for v in vs)
 
     def add_path(self, path: Sequence[VertexId]) -> None:
         """Commit a path whose endpoints are in S and internals are new."""
         if len(path) < 2:
             raise ValueError("a path needs at least two vertices")
-        u, v = path[0], path[-1]
-        if u not in self._vertices or v not in self._vertices:
+        flat = [self._flat(v) for v in path]
+        if flat[0] not in self.blocked or flat[-1] not in self.blocked:
             raise ValueError("path endpoints must already belong to S")
-        internal = path[1:-1]
-        for x in internal:
-            if x in self._vertices:
-                raise ValueError(f"internal vertex {tuple(x)} already belongs to S")
+        internal = flat[1:-1]
+        for x, v in zip(internal, path[1:-1]):
+            if x in self.blocked:
+                raise ValueError(f"internal vertex {tuple(v)} already belongs to S")
         if len(set(internal)) != len(internal):
             raise ValueError("internal vertices must be distinct")
-        new_deg = dict(self._degree)
-        for a, b in zip(path, path[1:]):
-            if tuple(sorted((a, b))) in self._edges:
-                raise ValueError(f"edge {tuple(a)}-{tuple(b)} already belongs to S")
-            new_deg[a] = new_deg.get(a, 0) + 1
-            new_deg[b] = new_deg.get(b, 0) + 1
-        cap = self.params.D
-        for x, d in new_deg.items():
-            if d > cap:
-                raise ValueError(f"degree of {tuple(x)} would exceed D={cap}")
-        self._vertices.update(internal)
-        self._degree = new_deg
-        for a, b in zip(path, path[1:]):
-            self._edges.add(tuple(sorted((a, b))))
-
-    def copy(self) -> "EmbeddingState":
-        out = EmbeddingState(self.params)
-        out._vertices = set(self._vertices)
-        out._degree = dict(self._degree)
-        out._edges = set(self._edges)
-        return out
-
-    def _assign_from(self, other: "EmbeddingState") -> None:
-        self._vertices = set(other._vertices)
-        self._degree = dict(other._degree)
-        self._edges = set(other._edges)
-
-    def to_json(self) -> str:
-        obj = {
-            "params": {"D": self.params.D, "m": self.params.m},
-            "vertices": sorted([v.fiber, v.layer] for v in self._vertices),
-            "edges": sorted([[a.fiber, a.layer], [b.fiber, b.layer]] for a, b in self._edges),
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "EmbeddingState":
-        obj = json.loads(text)
-        params = ExtendabilityParams(D=obj["params"]["D"], m=obj["params"]["m"])
-        state = cls(params, [VertexId(f, l) for f, l in obj["vertices"]])
-        for (af, al), (bf, bl) in obj["edges"]:
-            a, b = VertexId(af, al), VertexId(bf, bl)
-            state._edges.add(tuple(sorted((a, b))))
-            state._degree[a] = state._degree.get(a, 0) + 1
-            state._degree[b] = state._degree.get(b, 0) + 1
-        return state
-
-    def check_consistent(self) -> None:
-        deg: dict[VertexId, int] = {}
-        for a, b in self._edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-            if a not in self._vertices or b not in self._vertices:
-                raise AssertionError("edge endpoint missing from vertex set")
-        if deg != {k: v for k, v in self._degree.items() if v}:
-            raise AssertionError("degree table inconsistent with used edges")
-        if any(d > self.params.D for d in deg.values()):
-            raise AssertionError("degree cap exceeded")
-
-
-@dataclass(frozen=True)
-class ExtendabilityReport:
-    params: ExtendabilityParams
-    worst_margin: float
-    worst_set: tuple[VertexId, ...]
-    violating_set: Optional[tuple[VertexId, ...]]
-    tested: dict[int, int]
-    singleton_exhaustive: bool
-    skipped_sizes: tuple[int, ...] = ()
-
-
-def check_extendable(
-    G: LiftGraph,
-    S: EmbeddingState,
-    set_sizes: Sequence[int] = (1,),
-    trials: int = 200,
-    seed: int = 0,
-) -> ExtendabilityReport:
-    """Audit the extendability inequality on singletons and sampled sets.
-
-    For each tested U the margin is |N'(U) \\ V(S)| minus
-    (D-1)|U| - sum over u in U cap V(S) of (d_S(u) - 1), computed literally.
-    Size 1 is exhaustive over all vertices; sizes in [2, 2m] are sampled;
-    sizes above 2m fall outside the definition and are reported as skipped.
-    """
-    D = S.params.D
-    adj = G.flat_adjacency
-    s_flat = {G.flat_id(v) for v in S.vertices}
-    deg_flat = {G.flat_id(v): S.degree(v) for v in S.vertices}
-
-    def margin_of(U: Sequence[int]) -> int:
-        supply_set = set(u for u in U if u not in s_flat)
-        for u in U:
-            for w in adj[u]:
-                if w not in s_flat:
-                    supply_set.add(w)
-        required = (D - 1) * len(U)
-        for u in U:
-            if u in s_flat:
-                required -= deg_flat.get(u, 0) - 1
-        return len(supply_set) - required
-
-    worst = math.inf
-    worst_set: tuple[VertexId, ...] = ()
-    violator: Optional[tuple[VertexId, ...]] = None
-    tested: dict[int, int] = {}
-    skipped: list[int] = []
-    singleton_exhaustive = False
-    rng = derive_rng(seed)
-    for size in set_sizes:
-        if size < 1:
-            raise ValueError("set sizes must be >= 1")
-        if size > 2 * S.params.m:
-            skipped.append(size)
-            continue
-        if size == 1:
-            singleton_exhaustive = True
-            candidates: Iterable[Sequence[int]] = ([u] for u in range(G.num_vertices))
-        elif size > G.num_vertices:
-            skipped.append(size)
-            continue
-        else:
-            candidates = (sorted(rng.choice(G.num_vertices, size=size, replace=False).tolist())
-                          for _ in range(trials))
-        for U in candidates:
-            mg = margin_of(U)
-            tested[size] = tested.get(size, 0) + 1
-            if mg < worst:
-                worst = mg
-                worst_set = tuple(G.vertex_at(u) for u in U)
-                if mg < 0:
-                    violator = worst_set
-    return ExtendabilityReport(params=S.params, worst_margin=worst, worst_set=worst_set,
-                               violating_set=violator, tested=tested,
-                               singleton_exhaustive=singleton_exhaustive,
-                               skipped_sizes=tuple(skipped))
+        hops = list(zip(flat, flat[1:]))
+        for (a, b), va, vb in zip(hops, path, path[1:]):
+            if (a, b) in self.used_edges:
+                raise ValueError(f"edge {tuple(va)}-{tuple(vb)} already belongs to S")
+        self.blocked.update(internal)
+        for a, b in hops:
+            self.used_edges.add((a, b))
+            self.used_edges.add((b, a))
 
 
 def _bfs_levels(
@@ -254,7 +96,7 @@ def _bfs_levels(
     terminals: set[int],
     depth_cap: int,
     rng: Optional[np.random.Generator],
-    forbidden_hops: Optional[set[tuple[int, int]]] = None,
+    forbidden_hops: set[tuple[int, int]],
 ) -> tuple[dict[int, int], dict[int, int]]:
     """BFS from `starts` through unblocked vertices; terminals are reachable
     but never expanded.  `forbidden_hops` suppresses specific start-to-terminal
@@ -278,8 +120,7 @@ def _bfs_levels(
                     continue
                 if w in blocked and w not in terminals:
                     continue
-                if (forbidden_hops is not None and depth == 0
-                        and (x, w) in forbidden_hops):
+                if depth == 0 and (x, w) in forbidden_hops:
                     continue
                 dist[w] = depth + 1
                 parent[w] = x
@@ -289,112 +130,30 @@ def _bfs_levels(
     return dist, parent
 
 
-def _walk_back(parent: dict[int, int], start_dist: dict[int, int], x: int) -> list[int]:
-    out = [x]
-    while start_dist[x] > 0:
-        x = parent[x]
-        out.append(x)
-    out.reverse()
-    return out
-
-
-def connect(
-    G: LiftGraph,
-    S: EmbeddingState,
-    u: VertexId,
-    v: VertexId,
-    max_len: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> PathResult:
-    """Find a u-v path with all internal vertices outside S and commit it.
-
-    Bidirectional BFS restricted to vertices outside S (endpoints excepted);
-    among shortest connections ties go to the smallest (fiber, layer) meeting
-    vertex, or are randomized when `rng` is given.  On failure S is unchanged
-    and NoPathWithinBudget is raised.
-    """
-    u = G._check_vertex(u)
-    v = G._check_vertex(v)
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    if u not in S or v not in S:
-        raise ValueError("both endpoints must belong to S")
-    D = S.params.D
-    if S.degree(u) > D / 2 or S.degree(v) > D / 2:
-        raise ValueError(f"endpoint S-degree exceeds D/2 = {D / 2:g}")
-    if max_len is None:
-        max_len = default_max_len(S.params)
-    adj = G.flat_adjacency
-    blocked = {G.flat_id(x) for x in S.vertices}
-    fu, fv = G.flat_id(u), G.flat_id(v)
-    cap = (max_len + 1) // 2
-    dist_u, par_u = _bfs_levels(adj, [fu], blocked, {fv}, cap, rng)
-    dist_v, par_v = _bfs_levels(adj, [fv], blocked, {fu}, cap, rng)
-
-    # only the direct edge can collide with an edge already in S; longer
-    # paths always have a fresh endpoint on every edge
-    direct_used = tuple(sorted((u, v))) in S.used_edges
-    best: Optional[tuple[int, int, int]] = None  # (total, dist_u, flat id)
-    for x, du in dist_u.items():
-        dv = dist_v.get(x)
-        if dv is None:
-            continue
-        total = du + dv
-        if total > max_len or total == 0:
-            continue
-        if total == 1 and direct_used:
-            continue
-        key = (total, du, x)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise NoPathWithinBudget(f"no {tuple(u)}-{tuple(v)} path of length <= {max_len}")
-    _, _, meet = best
-    left = _walk_back(par_u, dist_u, meet)
-    right = _walk_back(par_v, dist_v, meet)
-    flat_path = left + right[-2::-1]
-    path = tuple(G.vertex_at(x) for x in flat_path)
-    S.add_path(path)
-    return PathResult(path=path)
-
-
 def connect_between_sets(
     G: LiftGraph,
     S: EmbeddingState,
     sources: Sequence[VertexId],
     targets: Sequence[VertexId],
-    max_len: Optional[int] = None,
+    max_len: int,
     rng: Optional[np.random.Generator] = None,
-) -> PathResult:
+) -> tuple[VertexId, ...]:
     """Shortest admissible path from any source to any target, committed to S.
 
-    Both endpoint pools must lie in S; endpoints whose S-degree already
-    exceeds D/2 are skipped.  Internal vertices stay outside S.
+    Both endpoint pools must lie in S and be disjoint.  Internal vertices stay
+    outside S and no edge of S is reused.  Ties go to the smallest target
+    flat id, with the frontier scanned in ascending order, or in a seeded
+    random order when `rng` is given.  On failure S is unchanged and
+    NoPathWithinBudget is raised.
     """
-    if max_len is None:
-        max_len = default_max_len(S.params)
-    D = S.params.D
-    src = [G._check_vertex(s) for s in sources]
-    tgt = [G._check_vertex(t) for t in targets]
-    if any(s not in S for s in src) or any(t not in S for t in tgt):
+    starts = sorted(S._flat(s) for s in sources)
+    terminals = {S._flat(t) for t in targets}
+    if any(x not in S.blocked for x in starts) or any(x not in S.blocked for x in terminals):
         raise ValueError("all endpoint candidates must belong to S")
-    src = [s for s in src if S.degree(s) <= D / 2]
-    tgt = [t for t in tgt if S.degree(t) <= D / 2]
-    if not src or not tgt:
-        raise ValueError("no endpoint candidate has degree headroom")
-    if set(src) & set(tgt):
+    if terminals.intersection(starts):
         raise ValueError("source and target pools must be disjoint")
-    adj = G.flat_adjacency
-    blocked = {G.flat_id(x) for x in S.vertices}
-    starts = sorted(G.flat_id(s) for s in src)
-    terminals = {G.flat_id(t) for t in tgt}
-    forbidden: set[tuple[int, int]] = set()
-    for a, b in S.used_edges:
-        fa, fb = G.flat_id(a), G.flat_id(b)
-        forbidden.add((fa, fb))
-        forbidden.add((fb, fa))
-    dist, parent = _bfs_levels(adj, starts, blocked, terminals, max_len, rng,
-                               forbidden_hops=forbidden)
+    dist, parent = _bfs_levels(G.flat_adjacency, starts, S.blocked, terminals, max_len,
+                               rng, S.used_edges)
     best: Optional[tuple[int, int]] = None
     for t in terminals:
         d = dist.get(t)
@@ -404,88 +163,11 @@ def connect_between_sets(
                 best = key
     if best is None:
         raise NoPathWithinBudget(f"no path between the endpoint pools of length <= {max_len}")
-    flat_path = _walk_back(parent, dist, best[1])
-    path = tuple(G.vertex_at(x) for x in flat_path)
+    x = best[1]
+    flat_path = [x]
+    while dist[x] > 0:
+        x = parent[x]
+        flat_path.append(x)
+    path = tuple(G.vertex_at(x) for x in reversed(flat_path))
     S.add_path(path)
-    return PathResult(path=path)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-
-
-@dataclass(frozen=True)
-class BatchConnectResult:
-    results: tuple[Optional[PathResult], ...]
-    failed_indices: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed_indices
-
-    @property
-    def paths(self) -> tuple[PathResult, ...]:
-        return tuple(r for r in self.results if r is not None)
-
-
-def batch_connect(
-    G: LiftGraph,
-    S: EmbeddingState,
-    pairs: Sequence[tuple[VertexId, VertexId]],
-    policy: RetryPolicy = RetryPolicy(),
-    max_len: Optional[int] = None,
-) -> BatchConnectResult:
-    """Connect every pair with pairwise internally-disjoint paths.
-
-    The first round runs pairs in order with deterministic tie-breaking; on
-    any failure the whole batch is retried on a fresh copy of S with seeded
-    randomized ordering and tie-breaking (re-running a single failed pair
-    cannot help, since BFS failures are exact for a fixed state).  The last
-    round's partial results are committed if all rounds fail.
-    """
-    pairs = [(G._check_vertex(a), G._check_vertex(b)) for a, b in pairs]
-    D = S.params.D
-    occurrences: dict[VertexId, int] = {}
-    for a, b in pairs:
-        occurrences[a] = occurrences.get(a, 0) + 1
-        occurrences[b] = occurrences.get(b, 0) + 1
-    for x, occ in occurrences.items():
-        if x not in S:
-            raise ValueError(f"endpoint {tuple(x)} not in S")
-        if S.degree(x) + occ - 1 > D / 2:
-            raise ValueError(f"endpoint {tuple(x)} lacks degree headroom for {occ} paths")
-    if not pairs:
-        return BatchConnectResult(results=(), failed_indices=())
-
-    last_state: Optional[EmbeddingState] = None
-    last_results: list[Optional[PathResult]] = []
-    last_failed: list[int] = []
-    for attempt in range(policy.attempts):
-        work = S.copy()
-        if attempt == 0:
-            order = list(range(len(pairs)))
-            rng = None
-        else:
-            rng = derive_rng(policy.seed, attempt)
-            order = rng.permutation(len(pairs)).tolist()
-        results: list[Optional[PathResult]] = [None] * len(pairs)
-        failed: list[int] = []
-        for idx in order:
-            a, b = pairs[idx]
-            try:
-                results[idx] = connect(G, work, a, b, max_len=max_len, rng=rng)
-            except NoPathWithinBudget:
-                failed.append(idx)
-        if not failed:
-            S._assign_from(work)
-            return BatchConnectResult(results=tuple(results), failed_indices=())
-        last_state, last_results, last_failed = work, results, sorted(failed)
-    assert last_state is not None
-    S._assign_from(last_state)
-    return BatchConnectResult(results=tuple(last_results), failed_indices=tuple(last_failed))
+    return path

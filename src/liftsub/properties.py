@@ -8,7 +8,7 @@ and Monte Carlo estimation of matching-avoidance probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -195,9 +195,15 @@ def check_expansion_into(
 class CrossMatching:
     """A lift matching covering at most one edge per transversal pair."""
 
-    edges: frozenset[tuple[VertexId, VertexId]]
-    covered_pairs: frozenset[tuple[int, int]]
-    by_pair: dict[tuple[int, int], tuple[VertexId, VertexId]] = field(compare=False, default_factory=dict)
+    by_pair: dict[tuple[int, int], tuple[VertexId, VertexId]]
+
+    @property
+    def edges(self) -> frozenset[tuple[VertexId, VertexId]]:
+        return frozenset(tuple(sorted(e)) for e in self.by_pair.values())
+
+    @property
+    def covered_pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.by_pair)
 
 
 def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[VertexId]]) -> CrossMatching:
@@ -205,8 +211,8 @@ def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[VertexId]]
 
     Pairs (i, j) are processed in lexicographic order; within a pair the scan
     walks fibers in increasing index and takes the first vertex-disjoint lift
-    edge.  A final sweep re-checks that no further edge covering an uncovered
-    pair can be added.
+    edge.  One pass is maximal: the matched vertices only grow, so a pair that
+    found no edge stays uncoverable.
     """
     ell = G.ell
     fiber_sets = []
@@ -233,7 +239,7 @@ def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[VertexId]]
     used: set[int] = set()
     by_pair: dict[tuple[int, int], tuple[VertexId, VertexId]] = {}
 
-    def try_cover(i: int, j: int) -> bool:
+    def try_cover(i: int, j: int) -> None:
         for f in fibers:
             u = by_fiber[i][f]
             if u in used:
@@ -246,23 +252,11 @@ def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[VertexId]]
                     used.add(u)
                     used.add(w)
                     by_pair[(i, j)] = (G.vertex_at(u), G.vertex_at(w))
-                    return True
-        return False
+                    return
 
-    k = len(transversals)
-    for i, j in combinations(range(k), 2):
+    for i, j in combinations(range(len(transversals)), 2):
         try_cover(i, j)
-    # Maximality sweep: with monotone consumption this finds nothing new, but
-    # it is cheap and certifies the contract directly.
-    changed = True
-    while changed:
-        changed = False
-        for i, j in combinations(range(k), 2):
-            if (i, j) not in by_pair and try_cover(i, j):
-                changed = True
-
-    edges = frozenset(tuple(sorted(e)) for e in by_pair.values())
-    return CrossMatching(edges=edges, covered_pairs=frozenset(by_pair), by_pair=dict(by_pair))
+    return CrossMatching(by_pair=by_pair)
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,19 @@ def test_verify_corrupted_exits_one(tmp_path, lift_file, capsys):
     assert "branch-collision" in out
 
 
-def test_usage_error_exits_two(tmp_path):
+def test_usage_error_exits_two(tmp_path, lift_file, capsys):
     assert run(["sample", "--n", 4]) == 2  # missing --ell
     assert run(["no-such-command"]) == 2
+    # usage errors found after parsing exit 2 as well, not through SystemExit
+    out = tmp_path / "sweep.csv"
+    sweep = ["sweep", "--n-list", 5, "-o", out]
+    assert run(sweep + ["--ell-list", 6, "--trials", 0]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert run(sweep) == 2  # neither --ell-list nor --ratio-list
+    assert "--ell-list" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["build", "-i", lift_file, "--D", 5]) == 2  # --D without --m
+    assert "--m" in capsys.readouterr().err
 
 
 def test_parse_error_exits_two(tmp_path):
@@ -73,6 +83,7 @@ def test_props_avoidance_cli(tmp_path, capsys):
                 "--trials", 5000, "--seed", 0]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ci99"][0] <= 1 / 3 <= out["ci99"][1]
+    assert run(["props", "avoidance", "--ell", 3, "-i", tmp_path / "lift.json"]) == 2
 
 
 def test_oracle_cli(tmp_path, capsys):

@@ -1,12 +1,18 @@
 """Embedding state maintenance and disjoint short-path routing."""
 
+import numpy as np
 import pytest
 
-from liftsub import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget, RetryPolicy,
-                     VertexId, batch_connect, check_extendable, complete_base, connect,
-                     default_max_len, sample_uniform_lift)
+from liftsub import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget, VertexId,
+                     complete_base, connect_between_sets, default_max_len,
+                     sample_uniform_lift)
 
 PARAMS = ExtendabilityParams(D=6, m=16)
+MAX_LEN = default_max_len(PARAMS)
+
+
+def snapshot(S):
+    return set(S.blocked), set(S.used_edges)
 
 
 def test_params_validation():
@@ -22,58 +28,51 @@ def test_default_max_len():
     assert default_max_len(ExtendabilityParams(D=34, m=16)) == 3
 
 
-def test_state_roundtrip_and_consistency():
-    S = EmbeddingState(PARAMS, [VertexId(0, 0), VertexId(1, 1)])
-    S.add_path((VertexId(0, 0), VertexId(2, 2), VertexId(1, 1)))
-    S.check_consistent()
-    S2 = EmbeddingState.from_json(S.to_json())
-    assert S2.to_json() == S.to_json()
-    assert S2.degree(VertexId(2, 2)) == 2
-
-
 def test_add_path_rejects_bad_input():
-    S = EmbeddingState(PARAMS, [VertexId(0, 0), VertexId(1, 0)])
+    G = sample_uniform_lift(complete_base(10), 10, seed=0)
+    S = EmbeddingState(G, [VertexId(0, 0), VertexId(1, 0)])
     with pytest.raises(ValueError):
         S.add_path((VertexId(0, 0),))
     with pytest.raises(ValueError):
         S.add_path((VertexId(0, 0), VertexId(5, 5), VertexId(9, 9)))  # endpoint not in S
     with pytest.raises(ValueError):
         S.add_path((VertexId(0, 0), VertexId(1, 0), VertexId(0, 0)))  # internal in S
+    with pytest.raises(ValueError):
+        S.add_path((VertexId(0, 0), VertexId(5, 5), VertexId(5, 5), VertexId(1, 0)))
+    S.add_path((VertexId(0, 0), VertexId(1, 0)))
+    with pytest.raises(ValueError):
+        S.add_path((VertexId(1, 0), VertexId(0, 0)))  # edge already in S
 
 
 def test_connect_adjacent_pair_gives_edge_path():
     G = sample_uniform_lift(complete_base(4), 3, seed=0)
     u = VertexId(0, 0)
     v = next(iter(G.neighbors(u)))
-    S = EmbeddingState(PARAMS, [u, v])
-    res = connect(G, S, u, v)
-    assert res.path == (u, v) and res.length == 1
-    assert S.degree(u) == 1 and S.degree(v) == 1
-    assert len(S) == 2
+    S = EmbeddingState(G, [u, v])
+    assert connect_between_sets(G, S, [u], [v], MAX_LEN) == (u, v)
+    assert S.blocked == {G.flat_id(u), G.flat_id(v)}
 
 
-def test_connect_updates_degrees_and_internals():
+def test_connect_commits_internals_and_edges():
     G = sample_uniform_lift(complete_base(5), 8, seed=4)
     u, v = VertexId(0, 0), VertexId(0, 1)  # same fiber: no direct edge
-    S = EmbeddingState(PARAMS, [u, v])
-    before_u, before_v = S.degree(u), S.degree(v)
-    res = connect(G, S, u, v)
-    assert res.length >= 2
-    assert S.degree(u) == before_u + 1 and S.degree(v) == before_v + 1
-    for x in res.internal:
-        assert S.degree(x) == 2
-        assert x in S
-    for a, b in zip(res.path, res.path[1:]):
+    S = EmbeddingState(G, [u, v])
+    path = connect_between_sets(G, S, [u], [v], MAX_LEN)
+    assert len(path) >= 3 and path[0] == u and path[-1] == v
+    assert S.blocked == {G.flat_id(x) for x in path}
+    for a, b in zip(path, path[1:]):
         assert G.is_edge(a, b)
-    S.check_consistent()
+        assert (G.flat_id(a), G.flat_id(b)) in S.used_edges
+        assert (G.flat_id(b), G.flat_id(a)) in S.used_edges
+    assert len(S.used_edges) == 2 * (len(path) - 1)
 
 
 def test_connect_respects_max_len():
     G = sample_uniform_lift(complete_base(5), 8, seed=4)
     u, v = VertexId(0, 0), VertexId(0, 1)
-    S = EmbeddingState(PARAMS, [u, v])
+    S = EmbeddingState(G, [u, v])
     with pytest.raises(NoPathWithinBudget):
-        connect(G, S, u, v, max_len=1)
+        connect_between_sets(G, S, [u], [v], max_len=1)
 
 
 def test_connect_failure_leaves_state_bit_identical():
@@ -81,33 +80,38 @@ def test_connect_failure_leaves_state_bit_identical():
     a = VertexId(0, 0)
     matched = G.matchings[(0, 1)][0]
     b = VertexId(1, (matched + 1) % 3)
-    S = EmbeddingState(PARAMS, [a, b])
-    snapshot = S.to_json()
+    c, d = VertexId(0, 2), VertexId(1, G.matchings[(0, 1)][2])
+    S = EmbeddingState(G, [a, b, c, d])
+    S.add_path((c, d))  # a used edge, so the snapshot covers both sets
+    before = snapshot(S)
     with pytest.raises(NoPathWithinBudget):
-        connect(G, S, a, b)
-    assert S.to_json() == snapshot
+        connect_between_sets(G, S, [a], [b], MAX_LEN)
+    assert snapshot(S) == before
 
 
 def test_connect_validates_endpoints():
     G = sample_uniform_lift(complete_base(4), 3, seed=0)
     u, v = VertexId(0, 0), VertexId(1, 0)
-    S = EmbeddingState(PARAMS, [u])
+    S = EmbeddingState(G, [u])
     with pytest.raises(ValueError):
-        connect(G, S, u, u)
+        connect_between_sets(G, S, [u], [u], MAX_LEN)  # pools overlap
     with pytest.raises(ValueError):
-        connect(G, S, u, v)  # v not in S
+        connect_between_sets(G, S, [u], [v], MAX_LEN)  # v not in S
+    with pytest.raises(ValueError):
+        connect_between_sets(G, S, [u], [VertexId(9, 0)], MAX_LEN)  # not a lift vertex
 
 
 def test_connect_internal_vertices_fresh_and_disjoint():
     G = sample_uniform_lift(complete_base(6), 12, seed=5)
     pairs = [(VertexId(0, 2 * k), VertexId(1, 2 * k + 1)) for k in range(4)]
-    S = EmbeddingState(PARAMS, [x for p in pairs for x in p])
+    S = EmbeddingState(G, [x for p in pairs for x in p])
     seen = set()
     for u, v in pairs:
-        before = set(S.vertices)
-        res = connect(G, S, u, v)
-        for x in res.internal:
-            assert x not in before
+        before = set(S.blocked)
+        path = connect_between_sets(G, S, [u], [v], MAX_LEN)
+        assert len(path) - 1 <= MAX_LEN
+        for x in path[1:-1]:
+            assert G.flat_id(x) not in before
             assert x not in seen
             seen.add(x)
 
@@ -117,145 +121,46 @@ def test_connect_does_not_reuse_direct_edge():
     G = sample_uniform_lift(complete_base(5), 6, seed=3)
     u = VertexId(0, 0)
     v = min(G.neighbors(u))
-    S = EmbeddingState(PARAMS, [u, v])
-    first = connect(G, S, u, v)
-    assert first.length == 1
-    second = connect(G, S, u, v)
-    assert second.length >= 2
-    assert set(second.internal).isdisjoint({u, v})
+    S = EmbeddingState(G, [u, v])
+    assert connect_between_sets(G, S, [u], [v], MAX_LEN) == (u, v)
+    second = connect_between_sets(G, S, [u], [v], MAX_LEN)
+    assert len(second) >= 3
+    assert set(second[1:-1]).isdisjoint({u, v})
 
 
 def test_connect_between_sets_skips_used_direct_edge():
-    from liftsub import connect_between_sets
     G = sample_uniform_lift(complete_base(5), 6, seed=3)
     u = VertexId(0, 0)
     v = min(G.neighbors(u))
     other = VertexId(0, 1)
-    S = EmbeddingState(PARAMS, [u, v, other])
-    connect(G, S, u, v)  # consumes the direct edge
-    res = connect_between_sets(G, S, [u, other], [v])
-    for a, b in zip(res.path, res.path[1:]):
+    S = EmbeddingState(G, [u, v, other])
+    connect_between_sets(G, S, [u], [v], MAX_LEN)  # consumes the direct edge
+    path = connect_between_sets(G, S, [u, other], [v], MAX_LEN)
+    for a, b in zip(path, path[1:]):
         assert G.is_edge(a, b)
-    assert res.path != (u, v)
+    assert path != (u, v)
 
 
-def test_batch_connect_empty():
-    G = sample_uniform_lift(complete_base(3), 2, seed=0)
-    S = EmbeddingState(PARAMS)
-    out = batch_connect(G, S, [])
-    assert out.ok and out.results == ()
-
-
-def test_batch_connect_adjacent_pairs_add_nothing():
-    G = sample_uniform_lift(complete_base(6), 4, seed=1)
-    u1 = VertexId(0, 0)
-    v1 = min(G.neighbors(u1))
-    u2 = VertexId(0, 1)
-    v2 = min(w for w in G.neighbors(u2) if w not in (u1, v1))
-    S = EmbeddingState(PARAMS, [u1, v1, u2, v2])
-    before = len(S)
-    out = batch_connect(G, S, [(u1, v1), (u2, v2)])
-    assert out.ok
-    assert all(r.length == 1 for r in out.results)
-    assert len(S) == before
-
-
-def test_batch_connect_disjointness_and_budget():
+def test_connect_deterministic_on_fresh_states():
     G = sample_uniform_lift(complete_base(8), 12, seed=6)
-    pairs = [(VertexId(0, k), VertexId(1, (k + 3) % 12)) for k in range(6)]
-    S = EmbeddingState(PARAMS, [x for p in pairs for x in p])
-    max_len = default_max_len(PARAMS)
-    out = batch_connect(G, S, pairs)
-    assert out.ok
-    internal_sets = [set(r.internal) for r in out.results]
-    for i in range(len(internal_sets)):
-        for j in range(i + 1, len(internal_sets)):
-            assert not internal_sets[i] & internal_sets[j]
-    total_added = sum(len(s) for s in internal_sets)
-    assert total_added <= len(pairs) * (max_len - 1)
-    assert all(r.length <= max_len for r in out.results)
+    sources = [VertexId(0, k) for k in range(4)]
+    targets = [VertexId(1, k) for k in range(4, 8)]
 
+    def route(rng_seed):
+        S = EmbeddingState(G, sources + targets)
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        return connect_between_sets(G, S, sources, targets, MAX_LEN, rng=rng), snapshot(S)
 
-def test_batch_connect_reports_failures_with_indices():
-    G = sample_uniform_lift(complete_base(2), 4, seed=0)  # matching: no long paths
-    perm = G.matchings[(0, 1)]
-    good = (VertexId(0, 0), VertexId(1, perm[0]))
-    bad = (VertexId(0, 1), VertexId(1, perm[2]))
-    S = EmbeddingState(PARAMS, [*good, *bad])
-    out = batch_connect(G, S, [good, bad], policy=RetryPolicy(attempts=2, seed=0))
-    assert not out.ok
-    assert out.failed_indices == (1,)
-    assert out.results[0] is not None and out.results[1] is None
-
-
-def test_batch_connect_validates_headroom():
-    G = sample_uniform_lift(complete_base(4), 4, seed=0)
-    u, v = VertexId(0, 0), VertexId(1, 0)
-    S = EmbeddingState(ExtendabilityParams(D=3, m=4), [u, v])
-    pairs = [(u, v)] * 3  # 3 paths through u would exceed D/2
-    with pytest.raises(ValueError):
-        batch_connect(G, S, pairs)
-
-
-def test_check_extendable_matches_brute_force():
-    G = sample_uniform_lift(complete_base(5), 6, seed=7)
-    S = EmbeddingState(ExtendabilityParams(D=3, m=8), [VertexId(0, 0), VertexId(1, 2)])
-    S.add_path((VertexId(0, 0), VertexId(2, 1), VertexId(1, 2)))
-    report = check_extendable(G, S, set_sizes=[1, 2], trials=100, seed=0)
-
-    def literal_margin(U):
-        s_vertices = S.vertices
-        supply = set(u for u in U if u not in s_vertices)
-        for u in U:
-            supply |= {w for w in G.neighbors(u) if w not in s_vertices}
-        required = (S.params.D - 1) * len(U)
-        required -= sum(S.degree(u) - 1 for u in U if u in s_vertices)
-        return len(supply) - required
-
-    worst = min(literal_margin([v]) for v in G.vertex_ids())
-    assert report.worst_margin <= worst  # sampled sizes can only tighten
-    singles = [literal_margin([v]) for v in G.vertex_ids()]
-    assert min(singles) >= report.worst_margin
-
-
-def test_check_extendable_empty_graph_on_transversals():
-    # desk-scale analogue of the winning-condition audit: a K_{n-1} lift with
-    # n disjoint transversals marked as the initial embedding, practical D
-    n, ell = 10, 14
-    G = sample_uniform_lift(complete_base(n - 1), ell, seed=8)
-    params = ExtendabilityParams(D=3, m=20)
-    S = EmbeddingState(params)
-    for t in range(n):
-        S.add_vertices(VertexId(f, t) for f in range(n - 1))
-    report = check_extendable(G, S, set_sizes=[1, 2, 4], trials=500, seed=1)
-    assert report.singleton_exhaustive
-    assert report.tested[1] == G.num_vertices
-    # every singleton outside S has full degree free; inside S the margin is
-    # degree-outside-S minus D, which the report reproduces
-    if report.violating_set is not None:
-        U = report.violating_set
-        s_vertices = S.vertices
-        supply = set(u for u in U if u not in s_vertices)
-        for u in U:
-            supply |= {w for w in G.neighbors(u) if w not in s_vertices}
-        required = (params.D - 1) * len(U) - sum(
-            S.degree(u) - 1 for u in U if u in s_vertices)
-        assert len(supply) < required
-
-
-def test_check_extendable_skips_oversized_sets():
-    G = sample_uniform_lift(complete_base(4), 4, seed=0)
-    S = EmbeddingState(ExtendabilityParams(D=3, m=2), [VertexId(0, 0)])
-    report = check_extendable(G, S, set_sizes=[1, 10], trials=10, seed=0)
-    assert report.skipped_sizes == (10,)
+    assert route(None) == route(None)
+    assert route(3) == route(3)
 
 
 def test_sequential_connects_stay_disjoint_at_scale():
-    # 100 connects on a lift of K_47 with 64 layers, transversal-style state
+    # 100 routes on a lift of K_47 with 64 layers, transversal-style state
     n, ell = 48, 64
     G = sample_uniform_lift(complete_base(n - 1), ell, seed=10)
-    params = ExtendabilityParams(D=8, m=min(5 * ell * 4, 1280))
-    S = EmbeddingState(params)
+    max_len = default_max_len(ExtendabilityParams(D=8, m=min(5 * ell * 4, 1280)))
+    S = EmbeddingState(G)
     for t in range(n):
         S.add_vertices(VertexId(f, t) for f in range(n - 1))
     rngpairs = [(VertexId(f, 2 * k % n), VertexId((f + 7) % (n - 1), (2 * k + 1) % n))
@@ -265,10 +170,10 @@ def test_sequential_connects_stay_disjoint_at_scale():
     seen_internal = set()
     done = 0
     for u, v in rngpairs[:100]:
-        res = connect(G, S, u, v)
+        path = connect_between_sets(G, S, [u], [v], max_len)
         done += 1
-        for x in res.internal:
+        for x in path[1:-1]:
             assert x not in seen_internal
             seen_internal.add(x)
-        assert res.length <= default_max_len(params)
+        assert len(path) - 1 <= max_len
     assert done == 100

@@ -143,10 +143,10 @@ def _assert_cross_matching_contract(G, transversals, M):
 
 
 def test_cross_matching_maximality_and_disjointness():
-    for seed in range(5):
-        n, ell = 8, 10
+    cases = [(8, 10, 4, seed) for seed in range(5)] + [(16, 24, 12, 11)]
+    for n, ell, k, seed in cases:
         G = sample_uniform_lift(complete_base(n), ell, seed=seed)
-        transversals = [[VertexId(f, t) for f in range(n)] for t in range(4)]
+        transversals = [[VertexId(f, t) for f in range(n)] for t in range(k)]
         M = find_cross_matching(G, transversals)
         _assert_cross_matching_contract(G, transversals, M)
 
