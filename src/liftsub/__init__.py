@@ -16,7 +16,7 @@ from .properties import (AvoidanceEstimate, BudgetExceededError, CrossMatching,
                          check_joined, estimate_avoidance_probability,
                          find_cross_matching)
 from .verify import (SubdivisionCertificate, Verdict, Violation, certificate_from_json,
-                     certificate_order, certificate_to_json, certificate_vertex_count,
-                     serialize_certificate, verify_certificate)
+                     certificate_order, certificate_vertex_count, serialize_certificate,
+                     verify_certificate)
 
 __version__ = "0.1.0"

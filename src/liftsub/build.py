@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -257,29 +257,6 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
 # --- small-ell pipeline -------------------------------------------------------
 
 
-def _common_neighbor_fibers(G: LiftGraph, u: VertexId, v: VertexId,
-                            fibers: Sequence[int]) -> list[VertexId]:
-    """Common neighbors of u and v lying in the given fibers, ascending."""
-    out = []
-    for g in fibers:
-        if g == u.fiber or g == v.fiber:
-            continue
-        a = _neighbor_in_fiber(G, u, g)
-        if a is not None and a == _neighbor_in_fiber(G, v, g):
-            out.append(a)
-    return out
-
-
-def _neighbor_in_fiber(G: LiftGraph, v: VertexId, g: int) -> Optional[VertexId]:
-    i, j = min(v.fiber, g), max(v.fiber, g)
-    perm = G.matchings.get((i, j))
-    if perm is None:
-        return None
-    if v.fiber == i:
-        return VertexId(g, perm[v.layer])
-    return VertexId(g, G.inverse_matchings[(i, j)][v.layer])
-
-
 def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutcome:
     """Build a near-target clique subdivision in a short lift.
 
@@ -352,8 +329,15 @@ def _small_ell_attempt(
     stats: BuildStats,
 ) -> SubdivisionCertificate | BuildFailure:
     b = len(branch)
-    branch_set = set(branch)
     paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
+    # row i holds branch[i]'s neighbour in every fiber, as a flat id: the base
+    # is complete, so the sorted adjacency list has one entry per other fiber
+    # in fiber order, and -1 fills branch[i]'s own fiber
+    rows = []
+    for v in branch:
+        row = G.flat_adjacency[G.flat_id(v)][:]
+        row.insert(v.fiber, -1)
+        rows.append(row)
 
     # stage 2: direct edges
     uncovered: set[tuple[int, int]] = set()
@@ -365,21 +349,24 @@ def _small_ell_attempt(
             uncovered.add((i, j))
 
     # stage 3: length-2 paths through fresh common neighbors in the main block
-    candidates: dict[tuple[int, int], list[VertexId]] = {}
+    # (fibers 0..main-1), where two rows agree, in ascending fiber order; the
+    # candidates stay flat ids, since each pair takes at most one of them
+    main = len(f1_fibers)
+    branch_flat = {G.flat_id(v) for v in branch}
+    candidates: dict[tuple[int, int], list[int]] = {}
     pointer: dict[tuple[int, int], int] = {}
     for pair in uncovered:
         i, j = pair
-        mids = [m for m in _common_neighbor_fibers(G, branch[i], branch[j], f1_fibers)
-                if m not in branch_set]
-        candidates[pair] = mids
+        candidates[pair] = [x for x, y in zip(rows[i][:main], rows[j])
+                            if x == y and x not in branch_flat]
         pointer[pair] = 0
-    used_middles: set[VertexId] = set()
+    used_middles: set[int] = set()
     deficiency = [0] * b
     for i, j in uncovered:
         deficiency[i] += 1
         deficiency[j] += 1
 
-    def next_middle(pair: tuple[int, int]) -> Optional[VertexId]:
+    def next_middle(pair: tuple[int, int]) -> Optional[int]:
         mids = candidates[pair]
         k = pointer[pair]
         while k < len(mids) and mids[k] in used_middles:
@@ -407,7 +394,7 @@ def _small_ell_attempt(
             if mid is None:
                 continue
             used_middles.add(mid)
-            paths[pair] = (branch[pair[0]], mid, branch[pair[1]])
+            paths[pair] = (branch[pair[0]], G.vertex_at(mid), branch[pair[1]])
             uncovered.discard(pair)
             deficiency[pair[0]] -= 1
             deficiency[pair[1]] -= 1
@@ -440,8 +427,8 @@ def _small_ell_attempt(
     for i in needs_star:
         leaves = []
         for g in f2_fibers:
-            w = _neighbor_in_fiber(G, branch[i], g)
-            if w is not None and w not in used_leaves:
+            w = G.vertex_at(rows[i][g])
+            if w not in used_leaves:
                 leaves.append(w)
                 if len(leaves) == star_size:
                     break

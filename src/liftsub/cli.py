@@ -25,10 +25,10 @@ from . import exact as exact_mod
 from . import properties as props_mod
 from .build import BuildConfig, BuildOutcome, build_large_ell, build_small_ell, target_order
 from .connect import ExtendabilityParams
-from .lifts import (LiftFormatError, LiftGraph, VertexId, complete_base,
-                    deserialize, sample_uniform_lift, serialize)
-from .verify import (CertificateFormatError, certificate_from_json, certificate_order,
-                     serialize_certificate, verify_certificate)
+from .lifts import (LiftGraph, VertexId, complete_base, deserialize, sample_uniform_lift,
+                    serialize)
+from .verify import (certificate_from_json, certificate_order, serialize_certificate,
+                     verify_certificate)
 
 WORKERS_ENV = "LIFTSUB_WORKERS"
 
@@ -45,9 +45,28 @@ def _load_graph_any(path: str) -> exact_mod.SimpleGraph:
     return exact_mod.load_edge_list(text)
 
 
+class SideFileError(ValueError):
+    """A JSON side file (vertex list, transversals, pairs) is malformed."""
+
+
+def _int_pairs(data, where: str) -> list[tuple[int, int]]:
+    """`data` as a list of pairs; only `[[int, int], ...]` is accepted."""
+    if not isinstance(data, list):
+        raise SideFileError(f"{where} must be an array of [int, int] pairs")
+    for k, pair in enumerate(data):
+        # type(x) is int: JSON true/false decode to bool, a subclass of int
+        if not (isinstance(pair, list) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise SideFileError(f"{where}[{k}] must be an [int, int] pair")
+    return [(a, b) for a, b in data]
+
+
+def _read_pairs(path: str) -> list[tuple[int, int]]:
+    return _int_pairs(json.loads(Path(path).read_text()), path)
+
+
 def _parse_vertex_list(path: str) -> list[VertexId]:
-    data = json.loads(Path(path).read_text())
-    return [VertexId(int(f), int(l)) for f, l in data]
+    return [VertexId(f, l) for f, l in _read_pairs(path)]
 
 
 def _emit(obj, fmt: str = "json") -> None:
@@ -145,9 +164,8 @@ def cmd_verify(args) -> int:
 
 def cmd_props(args) -> int:
     if args.prop == "avoidance":
-        pairs = json.loads(Path(args.pairs).read_text()) if args.pairs else []
         est = props_mod.estimate_avoidance_probability(
-            [(int(a), int(b)) for a, b in pairs], ell=args.ell,
+            _read_pairs(args.pairs) if args.pairs else [], ell=args.ell,
             trials=args.trials, seed=args.seed)
         _emit({"estimate": est.estimate, "ci99": [est.lower, est.upper],
                "trials": est.trials}, args.format)
@@ -175,7 +193,10 @@ def cmd_props(args) -> int:
         return 0 if report.violating_set is None else 1
     # cross-matching: the last of the parser's fixed choices
     data = json.loads(Path(args.transversals).read_text())
-    transversals = [[VertexId(int(f), int(l)) for f, l in T] for T in data]
+    if not isinstance(data, list):
+        raise SideFileError(f"{args.transversals} must be an array of transversals")
+    transversals = [[VertexId(f, l) for f, l in _int_pairs(T, f"{args.transversals}[{k}]")]
+                    for k, T in enumerate(data)]
     M = props_mod.find_cross_matching(G, transversals)
     total = math.comb(len(transversals), 2)
     _emit({
@@ -220,9 +241,8 @@ def cmd_oracle(args) -> int:
         _emit(out, args.format)
         return 1 if res.violator is not None else 0
     # avoidance-exact: the last of the parser's fixed choices
-    pairs = json.loads(Path(args.pairs).read_text()) if args.pairs else []
     value = exact_mod.exact_avoidance_probability(
-        [(int(a), int(b)) for a, b in pairs], ell=args.ell)
+        _read_pairs(args.pairs) if args.pairs else [], ell=args.ell)
     _emit({"probability": str(value), "float": float(value)}, args.format)
     return 0
 
@@ -478,11 +498,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (LiftFormatError, CertificateFormatError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # ValueError covers the typed parse errors (LiftFormatError,
+        # CertificateFormatError, SideFileError) and JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

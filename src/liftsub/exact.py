@@ -145,10 +145,6 @@ class HajosResult:
     witness_paths: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict, compare=False)
     states: int = 0
 
-    @property
-    def value(self) -> int:
-        return self.best
-
 
 def _count_edges_within(H: SimpleGraph, B: Sequence[int]) -> int:
     mask = 0

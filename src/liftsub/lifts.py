@@ -25,8 +25,6 @@ __all__ = [
     "complete_base",
     "derive_rng",
     "deserialize",
-    "lift_from_json",
-    "lift_to_json",
     "sample_uniform_lift",
     "serialize",
 ]
@@ -74,18 +72,6 @@ class BaseGraph:
         if any(a >= b for a, b in zip(normalized, normalized[1:])):
             raise ValueError("edge list must be sorted and duplicate-free")
         object.__setattr__(self, "edges", normalized)
-
-    @cached_property
-    def incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each vertex, the sorted base edges incident to it."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for e in self.edges:
-            inc[e[0]].append(e)
-            inc[e[1]].append(e)
-        return tuple(tuple(lst) for lst in inc)
-
-    def degree(self, v: int) -> int:
-        return len(self.incident[v])
 
     @property
     def is_complete(self) -> bool:
@@ -138,18 +124,12 @@ class LiftGraph:
         return self.base.num_vertices * self.ell
 
     @cached_property
-    def inverse_matchings(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        inv = {}
-        for e, perm in self.matchings.items():
-            arr = [0] * self.ell
-            for a, b in enumerate(perm):
-                arr[b] = a
-            inv[e] = tuple(arr)
-        return inv
-
-    @cached_property
     def flat_adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists indexed by flat vertex id (fiber*ell + layer)."""
+        """Sorted neighbor lists indexed by flat vertex id (fiber*ell + layer).
+
+        The one neighbor index derived from `matchings`: a vertex has one
+        neighbor per base edge at its fiber, so the list holds them in
+        ascending fiber order."""
         adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
         ell = self.ell
         for (i, j), perm in self.matchings.items():
@@ -180,14 +160,8 @@ class LiftGraph:
 
     def neighbors(self, v: VertexId) -> set[VertexId]:
         """The neighbors of v: exactly one per base edge incident to v's fiber."""
-        v = self._check_vertex(v)
-        out: set[VertexId] = set()
-        for i, j in self.base.incident[v.fiber]:
-            if v.fiber == i:
-                out.add(VertexId(j, self.matchings[(i, j)][v.layer]))
-            else:
-                out.add(VertexId(i, self.inverse_matchings[(i, j)][v.layer]))
-        return out
+        flat = self.flat_id(self._check_vertex(v))
+        return {self.vertex_at(w) for w in self.flat_adjacency[flat]}
 
     def is_edge(self, u: VertexId, v: VertexId) -> bool:
         """True iff u and v are matched under the relevant base-edge permutation."""
@@ -201,10 +175,6 @@ class LiftGraph:
         if perm is None:
             return False
         return perm[u.layer] == v.layer
-
-    def degree(self, v: VertexId) -> int:
-        v = self._check_vertex(v)
-        return self.base.degree(v.fiber)
 
 
 # --- batched substream seeding -------------------------------------------------
@@ -334,18 +304,15 @@ def sample_uniform_lift(base: BaseGraph, ell: int, seed: int) -> LiftGraph:
 # Keys sorted, fixed separators: byte-stable for a fixed lift.
 
 
-def lift_to_json(G: LiftGraph) -> str:
+def serialize(G: LiftGraph) -> bytes:
+    """The canonical format as UTF-8 bytes with a trailing newline."""
     obj = {
         "n": G.base.num_vertices,
         "ell": G.ell,
         "base_edges": [[i, j] for i, j in G.base.edges],
         "matchings": {f"{i}-{j}": list(perm) for (i, j), perm in G.matchings.items()},
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def serialize(G: LiftGraph) -> bytes:
-    return (lift_to_json(G) + "\n").encode("utf-8")
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _json_object(data: str | bytes, error: type[ValueError]) -> dict:
@@ -384,10 +351,10 @@ def _pair_key(key: str) -> tuple[int, int] | None:
     return (i, j) if key == f"{i}-{j}" and min(i, j) >= 0 else None
 
 
-def lift_from_json(text: str | bytes) -> LiftGraph:
+def deserialize(data: bytes | str) -> LiftGraph:
     """Parse the canonical format.  This checks JSON shape and types only;
     BaseGraph and LiftGraph check the edges and matchings, once."""
-    obj = _json_object(text, LiftFormatError)
+    obj = _json_object(data, LiftFormatError)
     for field in ("n", "ell", "base_edges", "matchings"):
         if field not in obj:
             raise LiftFormatError(f"missing field '{field}'")
@@ -424,7 +391,3 @@ def lift_from_json(text: str | bytes) -> LiftGraph:
         return LiftGraph(base, ell, matchings)
     except ValueError as exc:
         raise LiftFormatError(str(exc)) from None
-
-
-def deserialize(data: bytes | str) -> LiftGraph:
-    return lift_from_json(data)

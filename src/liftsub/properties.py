@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .exact import lift_to_simple
 from .lifts import LiftGraph, VertexId, derive_rng
 
 __all__ = [
@@ -43,16 +44,6 @@ class JoinedVerdict:
     trials: int
 
 
-def _adjacency_masks(G: LiftGraph) -> list[int]:
-    masks = [0] * G.num_vertices
-    for u, nbrs in enumerate(G.flat_adjacency):
-        m = 0
-        for w in nbrs:
-            m |= 1 << w
-        masks[u] = m
-    return masks
-
-
 def check_joined(
     G: LiftGraph,
     m: int,
@@ -71,7 +62,7 @@ def check_joined(
     if m < 1:
         raise ValueError("m must be >= 1")
     N = G.num_vertices
-    masks = _adjacency_masks(G)
+    masks = lift_to_simple(G).adj
 
     def crossing(A: Sequence[int], mask_B: int) -> bool:
         return any(masks[a] & mask_B for a in A)
@@ -266,10 +257,6 @@ class AvoidanceEstimate:
     upper: float
     trials: int
     successes: int
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile

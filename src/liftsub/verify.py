@@ -22,7 +22,6 @@ __all__ = [
     "Violation",
     "certificate_from_json",
     "certificate_order",
-    "certificate_to_json",
     "certificate_vertex_count",
     "serialize_certificate",
     "verify_certificate",
@@ -168,17 +167,14 @@ def verify_certificate(G: LiftGraph, cert: SubdivisionCertificate) -> Verdict:
 # {"branch": [[f,l],...], "paths": {"i-j": [[f,l],...]}} with sorted keys.
 
 
-def certificate_to_json(cert: SubdivisionCertificate) -> str:
+def serialize_certificate(cert: SubdivisionCertificate) -> bytes:
+    """The canonical format as UTF-8 bytes with a trailing newline."""
     obj = {
         "branch": [[v.fiber, v.layer] for v in cert.branch],
         "paths": {f"{i}-{j}": [[v.fiber, v.layer] for v in path]
                   for (i, j), path in cert.paths.items()},
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def serialize_certificate(cert: SubdivisionCertificate) -> bytes:
-    return (certificate_to_json(cert) + "\n").encode("utf-8")
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def certificate_from_json(text: str | bytes) -> SubdivisionCertificate:

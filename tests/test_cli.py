@@ -235,3 +235,34 @@ def test_sweep_refuses_time_budget_in_parallel(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LIFTSUB_WORKERS", "2")
     assert run(args) == 2  # workers from the environment
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["v-file", "x-file", "transversals", "props-pairs",
+                                  "oracle-pairs"])
+def test_side_files_accept_only_int_pairs(tmp_path, capsys, flag):
+    lift = tmp_path / "lift.json"
+    assert run(["sample", "--n", 4, "--ell", 3, "--seed", 0, "-o", lift]) == 0
+    side = tmp_path / "side.json"
+    argv = {
+        "v-file": ["props", "expansion", "-i", lift, "--epsilon", 0.1, "--v-file", side],
+        "x-file": ["oracle", "property-p", "-i", lift, "--x-file", side],
+        "transversals": ["props", "cross-matching", "-i", lift, "--transversals", side],
+        "props-pairs": ["props", "avoidance", "--ell", 3, "--pairs", side],
+        "oracle-pairs": ["oracle", "avoidance-exact", "--ell", 3, "--pairs", side],
+    }[flag]
+    good = {
+        "v-file": [[f, a] for f in range(4) for a in range(3)],
+        "x-file": [[f, 0] for f in range(4)],
+        "transversals": [[[f, t] for f in range(4)] for t in range(3)],
+    }.get(flag, [[0, 1], [1, 2], [2, 0]])
+    side.write_text(json.dumps(good))
+    assert run(argv) in (0, 1)  # a well-formed file gets an answer
+    capsys.readouterr()
+    bad_inputs = [[0, 1], [[1.7, 2]], [[True, 1]], [[0, True]], [[0, 1, 2]], [["0", "1"]],
+                  [[0, None]], {"0": 1}, 5, None]
+    if flag == "transversals":
+        bad_inputs += [[bad] for bad in bad_inputs] + [good + [[0, 1]]]
+    for bad in bad_inputs:
+        side.write_text(json.dumps(bad))
+        assert run(argv) == 2, bad
+        assert "error:" in capsys.readouterr().err

@@ -7,7 +7,9 @@ import pytest
 
 from liftsub import (BaseGraph, LiftFormatError, LiftGraph, VertexId, complete_base,
                      deserialize, sample_uniform_lift, serialize)
-from liftsub.lifts import derive_rng, lift_from_json, lift_to_json
+from liftsub.lifts import derive_rng
+
+SAMPLER_BASES = [complete_base(6), BaseGraph(7, ((0, 3), (1, 2), (2, 6), (4, 5)))]
 
 
 def test_complete_base_small():
@@ -59,13 +61,15 @@ def test_k4_ell5_shape():
 
 
 def test_neighbors_cross_checks_is_edge():
-    G = sample_uniform_lift(complete_base(4), 3, seed=9)
-    vertices = list(G.vertex_ids())
-    for u in vertices:
-        nbrs = G.neighbors(u)
-        for v in vertices:
-            assert G.is_edge(u, v) == (v in nbrs)
-            assert G.is_edge(u, v) == G.is_edge(v, u)
+    # neighbors reads flat_adjacency, is_edge reads matchings
+    for base, ell in [(complete_base(4), 3), (SAMPLER_BASES[1], 3), (complete_base(5), 7)]:
+        G = sample_uniform_lift(base, ell, seed=9)
+        vertices = list(G.vertex_ids())
+        for u in vertices:
+            nbrs = G.neighbors(u)
+            for v in vertices:
+                assert G.is_edge(u, v) == (v in nbrs)
+                assert G.is_edge(u, v) == G.is_edge(v, u)
 
 
 def test_is_edge_same_fiber_and_self():
@@ -101,23 +105,23 @@ def test_serialization_roundtrip_and_stability():
 
 def test_deserialize_rejects_non_bijection():
     G = sample_uniform_lift(complete_base(3), 3, seed=0)
-    obj = json.loads(lift_to_json(G))
+    obj = json.loads(serialize(G))
     obj["matchings"]["0-1"] = [0, 0, 2]
     with pytest.raises(LiftFormatError, match="0-1"):
-        lift_from_json(json.dumps(obj))
+        deserialize(json.dumps(obj))
 
 
 def test_deserialize_rejects_missing_matching():
     G = sample_uniform_lift(complete_base(3), 3, seed=0)
-    obj = json.loads(lift_to_json(G))
+    obj = json.loads(serialize(G))
     del obj["matchings"]["1-2"]
     with pytest.raises(LiftFormatError, match="1-2"):
-        lift_from_json(json.dumps(obj))
+        deserialize(json.dumps(obj))
 
 
 def test_deserialize_rejects_missing_field():
     with pytest.raises(LiftFormatError, match="ell"):
-        lift_from_json('{"n": 2, "base_edges": [[0,1]], "matchings": {"0-1": [0]}}')
+        deserialize('{"n": 2, "base_edges": [[0,1]], "matchings": {"0-1": [0]}}')
 
 
 def test_deserialize_rejects_garbage():
@@ -142,9 +146,6 @@ def test_general_base_graph_supported():
     assert G.num_vertices == 12
     assert len(G.neighbors(VertexId(0, 0))) == 1
     assert len(G.neighbors(VertexId(1, 0))) == 2
-
-
-SAMPLER_BASES = [complete_base(6), BaseGraph(7, ((0, 3), (1, 2), (2, 6), (4, 5)))]
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 12345])
@@ -178,31 +179,31 @@ def test_load_has_no_quadratic_cliff():
     (lambda m: m.update({"1-2": [0, 1, 2.0]}), "1-2"),       # float entry
 ])
 def test_deserialize_errors_name_the_key(edit, fragment):
-    obj = json.loads(lift_to_json(sample_uniform_lift(complete_base(3), 3, seed=0)))
+    obj = json.loads(serialize(sample_uniform_lift(complete_base(3), 3, seed=0)))
     edit(obj["matchings"])
     with pytest.raises(LiftFormatError, match=fragment):
-        lift_from_json(json.dumps(obj))
+        deserialize(json.dumps(obj))
 
 
 @pytest.mark.parametrize("alias", ["00-1", "0-01", "٠-١", "+0-1", " 0-1", "0-1 ", "0_0-1", "0--1"])
 def test_deserialize_rejects_non_canonical_keys(alias):
-    obj = json.loads(lift_to_json(sample_uniform_lift(complete_base(3), 3, seed=0)))
+    obj = json.loads(serialize(sample_uniform_lift(complete_base(3), 3, seed=0)))
     both = json.loads(json.dumps(obj))
     both["matchings"][alias] = [2, 1, 0]  # next to the canonical "0-1"
     with pytest.raises(LiftFormatError, match="canonical"):
-        lift_from_json(json.dumps(both))
+        deserialize(json.dumps(both))
     obj["matchings"][alias] = obj["matchings"].pop("0-1")  # in its place
     with pytest.raises(LiftFormatError, match="canonical"):
-        lift_from_json(json.dumps(obj))
+        deserialize(json.dumps(obj))
 
 
 def test_deserialize_rejects_repeated_json_keys():
-    text = lift_to_json(sample_uniform_lift(complete_base(3), 3, seed=0))
+    text = serialize(sample_uniform_lift(complete_base(3), 3, seed=0)).decode()
     twice = text.replace('"matchings":{', '"matchings":{"0-1":[2,1,0],', 1)
     with pytest.raises(LiftFormatError, match="twice"):
-        lift_from_json(twice)
+        deserialize(twice)
     with pytest.raises(LiftFormatError, match="twice"):
-        lift_from_json('{"n":1,' + text[1:])
+        deserialize('{"n":1,' + text[1:])
 
 
 @pytest.mark.parametrize("text", [
@@ -213,4 +214,4 @@ def test_deserialize_rejects_repeated_json_keys():
 ])
 def test_deserialize_rejects_booleans_as_integers(text):
     with pytest.raises(LiftFormatError):
-        lift_from_json(text)
+        deserialize(text)
