@@ -265,10 +265,19 @@ class SweepConfig:
     attempts: int = 3
 
     def __post_init__(self):
+        # checked here, before run_sweep opens the output file
+        if self.trials < 1:
+            raise ValueError("--trials must be >= 1")
+        if self.attempts < 1:
+            raise ValueError("--attempts must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"--workers (or {WORKERS_ENV}) must be >= 1")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("--time-budget must be > 0")
         # a budget would cut the serial run at a timing-dependent trial, while
         # the parallel run has already submitted every trial: refuse rather
         # than let the flag mean different things in the two modes
-        if self.time_budget and self.workers > 1:
+        if self.time_budget is not None and self.workers > 1:
             raise ValueError("--time-budget cannot be combined with --workers > 1")
 
     def cells(self) -> list[tuple[int, int]]:
@@ -331,9 +340,9 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         fh.flush()
-        if cfg.workers <= 1:
+        if cfg.workers == 1:
             for task in tasks:
-                if cfg.time_budget and time.monotonic() - started > cfg.time_budget:
+                if cfg.time_budget is not None and time.monotonic() - started > cfg.time_budget:
                     print("time budget exceeded; stopping early", file=sys.stderr)
                     break
                 row, cert = _sweep_trial(task)
@@ -378,8 +387,6 @@ def cmd_sweep(args) -> int:
         ell_for = {n: tuple(max(2, math.ceil(r * n)) for r in ratios) for n in n_values}
     else:
         raise ValueError("one of --ell-list / --ratio-list is required")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
     cfg = SweepConfig(n_values=n_values, ell_for=ell_for, trials=args.trials,
                       epsilon=args.epsilon, seed=args.seed, builder=args.builder,

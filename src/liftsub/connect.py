@@ -5,6 +5,12 @@ the construction; new connecting paths must keep their internal vertices
 outside S.  Both builders route through the one primitive here,
 `connect_between_sets`: breadth-first search, so a failure means no path of
 the requested length exists in the current state, not a heuristic miss.
+
+An unseeded search (the first attempt of both builders) stops at the first
+level that reaches a target and returns the path a full sweep to the budget
+would return.  A seeded search (the retry attempts) sweeps every level up to
+the budget, because each level draws from the generator that the attempt's
+later routes share; stopping early would change their paths.
 """
 
 from __future__ import annotations
@@ -101,13 +107,34 @@ def _bfs_levels(
     """BFS from `starts` through unblocked vertices; terminals are reachable
     but never expanded.  `forbidden_hops` suppresses specific start-to-terminal
     edges (used when a direct edge already belongs to the state), leaving the
-    terminal discoverable along longer routes.  Returns (dist, parent)."""
+    terminal discoverable along longer routes.  Returns (dist, parent).
+
+    Unseeded (`rng is None`), the search stops at the first level that
+    reaches a terminal.  Before expanding level d it reads each terminal's
+    neighbour row: the smallest neighbour at distance d (not a reached
+    terminal, and at d == 0 not joined by a forbidden hop) is the parent the
+    ascending sweep of level d would assign, so the reached terminals get
+    the dist and parent the full sweep gives them, and level d is never
+    expanded.  Seeded searches sweep to `depth_cap`: every level draws a
+    permutation from `rng`, and later routes of the same attempt read the
+    same generator, so stopping early would change their paths."""
     dist = {s: 0 for s in starts}
     parent: dict[int, int] = {}
     frontier = list(starts)
     depth = 0
     while frontier and depth < depth_cap:
         if rng is None:
+            hits = {}
+            for t in terminals:
+                # rows are sorted, so the first qualifying neighbour is the smallest
+                x = next((x for x in adj[t] if dist.get(x) == depth and x not in terminals
+                          and not (depth == 0 and (x, t) in forbidden_hops)), None)
+                if x is not None:
+                    hits[t] = x
+            if hits:
+                parent.update(hits)
+                dist.update(dict.fromkeys(hits, depth + 1))
+                break
             frontier.sort()
         else:
             frontier = [frontier[k] for k in rng.permutation(len(frontier))]

@@ -37,6 +37,14 @@ CASES = {
         {"builder": "large", "direct_edges": 397, "length2_paths": 0, "connector_paths": 38,
          "pruned_branch": 0, "vertices_used": 956, "attempts_used": 3,
          "max_connector_len": 3, "target": 30.0, "achieved": 30}),
+    # the criterion-5 scale with default parameters: unseeded routes of
+    # length 2 to 4 under a budget of 9
+    "large-K48-ell80-seed0": (
+        build_large_ell, 48, 80, 0, BuildConfig(epsilon=0.5, seed=0),
+        "16d922254a9571719d2e6e597c378f04791b2907fafc4bb49916619fe93a373b",
+        {"builder": "large", "direct_edges": 1053, "length2_paths": 0, "connector_paths": 75,
+         "pruned_branch": 0, "vertices_used": 2399, "attempts_used": 1,
+         "max_connector_len": 4, "target": 48.0, "achieved": 48}),
 }
 
 

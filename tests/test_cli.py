@@ -266,3 +266,18 @@ def test_side_files_accept_only_int_pairs(tmp_path, capsys, flag):
         side.write_text(json.dumps(bad))
         assert run(argv) == 2, bad
         assert "error:" in capsys.readouterr().err
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("flag, value", [("--attempts", 0), ("--workers", -3),
+                                         ("--time-budget", -1)])
+def test_sweep_rejects_bad_values_before_writing(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.setattr("liftsub.cli.ProcessPoolExecutor", _no_pool)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--n-list", "7", "--ell-list", "12", "--trials", 1,
+                "--builder", "large", flag, value, "-o", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

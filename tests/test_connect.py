@@ -177,3 +177,98 @@ def test_sequential_connects_stay_disjoint_at_scale():
             seen_internal.add(x)
         assert len(path) - 1 <= max_len
     assert done == 100
+
+
+def reference_route(G, S, sources, targets, max_len, rng):
+    """The full-depth search: expand every level up to `max_len`, then take
+    the terminal with the smallest (distance, flat id)."""
+    adj = G.flat_adjacency
+    starts = sorted(G.flat_id(s) for s in sources)
+    terminals = {G.flat_id(t) for t in targets}
+    dist = {s: 0 for s in starts}
+    parent = {}
+    frontier = list(starts)
+    for depth in range(max_len):
+        if not frontier:
+            break
+        if rng is None:
+            frontier.sort()
+        else:
+            frontier = [frontier[k] for k in rng.permutation(len(frontier))]
+        nxt = []
+        for x in frontier:
+            if x in terminals and dist[x] > 0:
+                continue
+            for w in adj[x]:
+                if w in dist or (w in S.blocked and w not in terminals):
+                    continue
+                if depth == 0 and (x, w) in S.used_edges:
+                    continue
+                dist[w] = depth + 1
+                parent[w] = x
+                nxt.append(w)
+        frontier = nxt
+    reached = [(dist[t], t) for t in terminals if t in dist]
+    if not reached:
+        return None
+    x = min(reached)[1]
+    flat = [x]
+    while dist[x] > 0:
+        x = parent[x]
+        flat.append(x)
+    return tuple(G.vertex_at(x) for x in reversed(flat))
+
+
+def random_routing_case(gen):
+    """A small lift, a state with used edges, and disjoint endpoint pools."""
+    n, ell = int(gen.integers(3, 9)), int(gen.integers(2, 11))
+    G = sample_uniform_lift(complete_base(n), ell, seed=int(gen.integers(1 << 30)))
+    vertices = [VertexId(f, a) for f in range(n) for a in range(ell)]
+    picked = [vertices[k] for k in gen.permutation(len(vertices))]
+    k_src, k_dst = int(gen.integers(1, 5)), int(gen.integers(1, 6))
+    sources, targets = picked[:k_src], picked[k_src:k_src + k_dst]
+    extra = picked[k_src + k_dst:][:int(gen.integers(0, len(vertices) // 2))]
+    in_s = set(sources + targets + extra)
+    # commit some direct edges of S, first those joining the two pools
+    edges = [(u, v) for u in sources for v in G.neighbors(u) if v in targets]
+    edges += [(u, v) for u in extra for v in G.neighbors(u) if v in in_s]
+    used = [edges[k] for k in range(len(edges)) if gen.random() < 0.5]
+    return G, sources, targets, list(in_s), used, int(gen.integers(1, 6))
+
+
+def make_state(G, vertices, used):
+    S = EmbeddingState(G, vertices)
+    for u, v in used:
+        if (G.flat_id(u), G.flat_id(v)) not in S.used_edges:
+            S.add_path((u, v))
+    return S
+
+
+def test_connect_matches_full_depth_reference():
+    gen = np.random.default_rng(2024)
+    seen = {"forbidden_direct_hop": 0, "terminal_next_to_terminal": 0, "depth_1": 0,
+            "depth_2_plus": 0, "no_path": 0}
+    for trial in range(400):
+        G, sources, targets, in_s, used, max_len = random_routing_case(gen)
+        for rng_seed in (None, trial):
+            S = make_state(G, in_s, used)
+            R = make_state(G, in_s, used)
+            rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+            ref_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+            try:
+                path = connect_between_sets(G, S, sources, targets, max_len, rng=rng)
+            except NoPathWithinBudget:
+                path = None
+            expected = reference_route(G, R, sources, targets, max_len, ref_rng)
+            if expected is not None:
+                R.add_path(expected)
+            assert path == expected
+            assert snapshot(S) == snapshot(R)
+            if rng is not None:
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            seen["no_path" if path is None
+                 else "depth_1" if len(path) == 2 else "depth_2_plus"] += 1
+        seen["forbidden_direct_hop"] += any(u in sources and v in targets for u, v in used)
+        seen["terminal_next_to_terminal"] += any(
+            w in targets for t in targets for w in G.neighbors(t))
+    assert all(count >= 20 for count in seen.values()), seen
