@@ -9,13 +9,12 @@ in fiber i is matched to layer perm[a] in fiber j.
 from __future__ import annotations
 
 import json
-import struct
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "BaseGraph",
@@ -53,6 +52,19 @@ def derive_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(parts))
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int.  Booleans, floats and other non-integers raise
+    TypeError instead of being truncated or written out as JSON booleans."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BaseGraph:
     """A simple undirected graph given by a sorted, duplicate-free edge list."""
@@ -61,16 +73,19 @@ class BaseGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.num_vertices < 1:
+        n = _integer(self.num_vertices, "num_vertices")
+        if n < 1:
             raise ValueError("base graph needs at least one vertex")
-        normalized = tuple((int(i), int(j)) for i, j in self.edges)
+        normalized = tuple((_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
+                           for i, j in self.edges)
         for i, j in normalized:
-            if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
-                raise ValueError(f"edge ({i},{j}) endpoint out of range [0,{self.num_vertices})")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i},{j}) endpoint out of range [0,{n})")
             if i >= j:
                 raise ValueError(f"edge ({i},{j}) must satisfy i < j (no loops)")
         if any(a >= b for a, b in zip(normalized, normalized[1:])):
             raise ValueError("edge list must be sorted and duplicate-free")
+        object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", normalized)
 
     @property
@@ -81,6 +96,7 @@ class BaseGraph:
 
 def complete_base(n: int) -> BaseGraph:
     """The complete graph K_n as a base graph."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("complete_base requires n >= 1")
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
@@ -98,25 +114,27 @@ class LiftGraph:
     def __post_init__(self):
         # The one validation of a lift's matchings.  Messages name edges as
         # 'i-j', the key form of the file format.
-        if self.ell < 1:
+        ell = _integer(self.ell, "ell")
+        if ell < 1:
             raise ValueError("ell must be >= 1")
         edge_set = set(self.base.edges)
-        identity = list(range(self.ell))
+        identity = list(range(ell))
         normalized: dict[tuple[int, int], tuple[int, ...]] = {}
         for key, perm in self.matchings.items():
-            i, j = e = (int(key[0]), int(key[1]))
+            i, j = e = (_integer(key[0], "edge endpoint"), _integer(key[1], "edge endpoint"))
             if e not in edge_set:
                 raise ValueError(f"matching key {i}-{j} is not a base edge")
             if e in normalized:
                 raise ValueError(f"matching key {i}-{j} given twice")
             p = tuple(map(int, perm))
             if sorted(p) != identity:
-                raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{self.ell})")
+                raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{ell})")
             normalized[e] = p
         missing = edge_set - normalized.keys()
         if missing:
             i, j = min(missing)
             raise ValueError(f"matching missing for base edge {i}-{j}")
+        object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "matchings", normalized)
 
     @property
@@ -177,124 +195,82 @@ class LiftGraph:
         return perm[u.layer] == v.layer
 
 
-# --- batched substream seeding -------------------------------------------------
+# --- keyed sampling ------------------------------------------------------------
 #
-# derive_rng(seed, i, j) builds a SeedSequence and then a PCG64 per base edge;
-# the SeedSequence dominated sampling K_400 (79,800 edges).  _seed_states
-# computes what those SeedSequences would generate for a batch of edges at
-# once, and each edge's PCG64 is built from its precomputed words, so NumPy's
-# own PCG64 seeding runs unchanged.
+# A counter-based design in the style of Salmon et al., "Parallel random
+# numbers: as easy as 1, 2, 3" (SC 2011): every sort key is a hash of
+# (seed, i, j, a), a chain of SplitMix64-style absorb steps,
+# absorb(h, x) = mix64((h ^ x) + GAMMA) mod 2**64, where mix64 is SplitMix64's
+# output function.  The seed's 64-bit words (low word first) fold into one key
+# K from h = 0, K absorbs a base vertex i into a fiber hash, the fiber hash
+# absorbs j into the hash of edge (i, j), and the edge hash absorbs each layer
+# a into the layer's sort key.  The seed and fiber steps run on Python ints,
+# where a step costs less than one NumPy call (a one-edge lift is mostly fixed
+# costs); the edge and layer steps run on uint64 arrays.
 
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R_NEG = (1 << 32) - 0x4973F715  # -MIX_MULT_R mod 2**32
-_SAMPLE_CHUNK = 1024  # edges per batch; bounds the packed ints below
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
-    """init, init*mult, init*mult**2, ... mod 2**32 (count + 1 values)."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
+_M64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U64_GAMMA, _U64_MIX1, _U64_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_SAMPLE_KEYS = 1 << 16  # sort keys per chunk, whatever ell is
 
 
-_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_GENERATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+def _absorb(h: int, x: int) -> int:
+    """mix64((h ^ x) + GAMMA) mod 2**64 on Python ints."""
+    z = (h ^ x) + _GAMMA & _M64
+    z = (z ^ z >> 30) * _MIX1 & _M64
+    z = (z ^ z >> 27) * _MIX2 & _M64
+    return z ^ z >> 31
 
 
-class _SeedWords(ISeedSequence):
-    """Hands a bit generator the state words a SeedSequence would generate."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _seed_states(seed: int, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Row r is SeedSequence((seed, *edges[r])).generate_state(4, np.uint64).
-
-    This is NumPy's SeedSequence entropy mixing and generate_state
-    (numpy/random/bit_generator.pyx), uint32 arithmetic on one word at a time,
-    applied to every edge at once: each word is a Python int holding one
-    64-bit lane per edge.  Lanes hold values below 2**32 between operations,
-    so neither a product with a 32-bit constant nor the sum of two lanes
-    carries into the next lane; `& mask` reduces every lane mod 2**32 and
-    `v >> 16 & mask` shifts every lane.  Unlike a NumPy call, a big-int
-    operation costs almost nothing when there are few edges.  Base vertex
-    indices must be below 2**32, so that each is one entropy word.
-    """
-    rows = len(edges)
-    ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * rows, "little")
-    mask = _MASK32 * ones
-    entropy = []
-    while True:
-        entropy.append((seed & _MASK32) * ones)
-        seed >>= 32
-        if not seed:
-            break
-    lanes = f"<{rows}Q"
-    entropy.append(int.from_bytes(struct.pack(lanes, *[i for i, _ in edges]), "little"))
-    entropy.append(int.from_bytes(struct.pack(lanes, *[j for _, j in edges]), "little"))
-    # the k-th hashmix xors with consts[k] and multiplies by consts[k + 1]
-    extra = _POOL_SIZE * max(0, len(entropy) - _POOL_SIZE)
-    consts = _MIX_CONSTS + _hash_consts(_MIX_CONSTS[-1], _MULT_A, extra)[1:]
-    hash_consts = zip(consts, consts[1:])
-
-    pool = []
-    for src in range(_POOL_SIZE):
-        x, m = next(hash_consts)
-        value = ((entropy[src] if src < len(entropy) else 0) ^ x * ones) * m & mask
-        pool.append(value ^ value >> 16 & mask)
-    for src in range(max(len(entropy), _POOL_SIZE)):
-        for dst in range(_POOL_SIZE):
-            if dst == src:
-                continue
-            x, m = next(hash_consts)  # hashmix(source word)
-            value = ((pool[src] if src < _POOL_SIZE else entropy[src]) ^ x * ones) * m & mask
-            value ^= value >> 16 & mask
-            value = (pool[dst] * _MIX_MULT_L & mask) + (value * _MIX_MULT_R_NEG & mask) & mask
-            pool[dst] = value ^ value >> 16 & mask  # mix(pool[dst], hashmix(...))
-
-    words = []
-    for w in range(8):
-        value = (pool[w % _POOL_SIZE] ^ _GENERATE_CONSTS[w] * ones) * _GENERATE_CONSTS[w + 1] & mask
-        words.append(value ^ value >> 16 & mask)
-    # uint64 word q is uint32 words 2q (low half) and 2q+1 (high half)
-    packed = b"".join((words[2 * q] | words[2 * q + 1] << 32).to_bytes(8 * rows, "little")
-                      for q in range(4))
-    return np.frombuffer(packed, "<u8").reshape(4, rows).T.astype(np.uint64, order="C")
+def _absorb_array(z: np.ndarray) -> np.ndarray:
+    """`_absorb` on a uint64 array that already holds h ^ x, in place."""
+    z += _U64_GAMMA
+    z ^= z >> _U64_30
+    z *= _U64_MIX1
+    z ^= z >> _U64_27
+    z *= _U64_MIX2
+    z ^= z >> _U64_31
+    return z
 
 
 def sample_uniform_lift(base: BaseGraph, ell: int, seed: int) -> LiftGraph:
     """Sample a uniformly random ell-lift of `base`, deterministic given seed.
 
-    Each base edge (i, j) carries an independent uniform permutation drawn
-    from the substream keyed by (seed, i, j), so the result does not depend
-    on edge iteration order: the matching of (i, j) equals
-    ``derive_rng(seed, i, j).permutation(ell)``.
+    Edge (i, j)'s permutation is the stable argsort of the ell sort keys
+    absorb(absorb(absorb(K, i), j), a), a = 0..ell-1, where K folds the seed
+    (see the section comment).  It depends only on (seed, i, j, ell): not on
+    edge order, on chunking or on the rest of the base graph.  The keys of one
+    edge cannot tie: mix64 is a bijection and (h ^ a) + GAMMA differs for every
+    layer a (independent 64-bit keys for E edges would tie with probability
+    below E * ell**2 / 2**65).  The sort is stable all the same, so a tie would go to
+    the lower layer.  Base vertex indices must be below 2**64.
     """
+    ell = _integer(ell, "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if base.num_vertices > 1 << 32:
-        raise ValueError("sampling supports base graphs with at most 2**32 vertices")
+    if base.num_vertices > 1 << 64:
+        raise ValueError("sampling supports base graphs with at most 2**64 vertices")
+    key = 0
+    while True:
+        key = _absorb(key, seed & _M64)
+        seed >>= 64
+        if not seed:
+            break
+    fiber = {i: _absorb(key, i) for i in {i for i, _ in base.edges}}
+    layers = np.arange(ell, dtype=np.uint64)
+    rows = max(1, _SAMPLE_KEYS // ell)
     edges = base.edges
     matchings = {}
-    for start in range(0, len(edges), _SAMPLE_CHUNK):
-        chunk = edges[start:start + _SAMPLE_CHUNK]
-        for e, words in zip(chunk, _seed_states(seed, chunk)):
-            rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            matchings[e] = rng.permutation(ell).tolist()  # LiftGraph makes the tuple
+    for start in range(0, len(edges), rows):
+        chunk = edges[start:start + rows]
+        edge_hash = _absorb_array(np.array([fiber[i] ^ j for i, j in chunk], dtype=np.uint64))
+        keys = _absorb_array(edge_hash[:, None] ^ layers)
+        # one list per edge; LiftGraph makes the tuples
+        matchings.update(zip(chunk, keys.argsort(kind="stable").tolist()))
     return LiftGraph(base, ell, matchings)
 
 

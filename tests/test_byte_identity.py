@@ -16,35 +16,35 @@ from liftsub import (BuildConfig, ExtendabilityParams, build_large_ell, build_sm
 CASES = {
     "small-K120-ell3-seed9": (
         build_small_ell, 120, 3, 9, BuildConfig(epsilon=0.1, seed=9),
-        "77ea43c7372acd075a59123846551a567fdfe4fc2c7ebc11db8e2d95285e2a09",
-        {"builder": "small", "direct_edges": 104, "length2_paths": 247, "connector_paths": 0,
-         "pruned_branch": 0, "vertices_used": 274, "attempts_used": 1,
+        "b4d0eb388d0a35df8224787fc80c2afd8f9e63a397344ccd6fee081b035a896c",
+        {"builder": "small", "direct_edges": 112, "length2_paths": 239, "connector_paths": 0,
+         "pruned_branch": 0, "vertices_used": 266, "attempts_used": 1,
          "max_connector_len": 0, "target": 32.863353450309965, "achieved": 27}),
     # the input of test_small_builder_star_stage_exercised: stars and routing run
     "small-stars-K64-ell5-seed3": (
         build_small_ell, 64, 5, 3,
         BuildConfig(epsilon=0.1, seed=3, prune_divisor=2.0, star_divisor=2.0),
-        "e88772a5caf756d7c27f6f1ba74c141e17f058377dd4212d13e5a0456c556487",
-        {"builder": "small", "direct_edges": 49, "length2_paths": 200, "connector_paths": 4,
-         "pruned_branch": 0, "vertices_used": 233, "attempts_used": 1,
-         "max_connector_len": 2, "target": 28.284271247461902, "achieved": 23}),
-    # routing budget 3 (D=29, m=1): lift seed 5 fails twice and succeeds on
-    # the third attempt, so the seeded retries are covered
+        "28f71678917a4cfac42a12260ad9795ab3cb2c48dde593cdc61793accc0cf008",
+        {"builder": "small", "direct_edges": 39, "length2_paths": 168, "connector_paths": 3,
+         "pruned_branch": 2, "vertices_used": 197, "attempts_used": 1,
+         "max_connector_len": 2, "target": 28.284271247461902, "achieved": 21}),
+    # routing budget 3 (D=29, m=1): lift seed 5 fails once and succeeds on
+    # the second attempt, so a seeded retry is covered
     "large-K30-ell45-seed5": (
         build_large_ell, 30, 45, 5,
         BuildConfig(epsilon=0.1, seed=5, params=ExtendabilityParams(D=29, m=1)),
-        "d1c46a26630be25fcb83899b02dc768a426f9983c1954537e3946da688b2851f",
-        {"builder": "large", "direct_edges": 397, "length2_paths": 0, "connector_paths": 38,
-         "pruned_branch": 0, "vertices_used": 956, "attempts_used": 3,
+        "0e8acc0037efd2e5faae2bee477d9c11f6f41db5d9dd9998d81cd77c9498e14c",
+        {"builder": "large", "direct_edges": 402, "length2_paths": 0, "connector_paths": 33,
+         "pruned_branch": 0, "vertices_used": 948, "attempts_used": 2,
          "max_connector_len": 3, "target": 30.0, "achieved": 30}),
     # the criterion-5 scale with default parameters: unseeded routes of
-    # length 2 to 4 under a budget of 9
+    # length at most 3 under a budget of 9
     "large-K48-ell80-seed0": (
         build_large_ell, 48, 80, 0, BuildConfig(epsilon=0.5, seed=0),
-        "16d922254a9571719d2e6e597c378f04791b2907fafc4bb49916619fe93a373b",
-        {"builder": "large", "direct_edges": 1053, "length2_paths": 0, "connector_paths": 75,
-         "pruned_branch": 0, "vertices_used": 2399, "attempts_used": 1,
-         "max_connector_len": 4, "target": 48.0, "achieved": 48}),
+        "0fd7af801dd5e21fc2b372a43dd51c04b5a7d069e8160fefc5b525ef3c25e0eb",
+        {"builder": "large", "direct_edges": 1045, "length2_paths": 0, "connector_paths": 83,
+         "pruned_branch": 0, "vertices_used": 2406, "attempts_used": 1,
+         "max_connector_len": 3, "target": 48.0, "achieved": 48}),
 }
 
 

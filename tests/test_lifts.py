@@ -1,13 +1,17 @@
 """Core lift representation, sampling, and serialization."""
 
+import hashlib
 import json
 import time
+from collections import Counter
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from liftsub import (BaseGraph, LiftFormatError, LiftGraph, VertexId, complete_base,
-                     deserialize, sample_uniform_lift, serialize)
-from liftsub.lifts import derive_rng
+                     deserialize, lifts, sample_uniform_lift, serialize)
 
 SAMPLER_BASES = [complete_base(6), BaseGraph(7, ((0, 3), (1, 2), (2, 6), (4, 5)))]
 
@@ -148,20 +152,121 @@ def test_general_base_graph_supported():
     assert len(G.neighbors(VertexId(1, 0))) == 2
 
 
+def reference_absorb(h, x):
+    """One SplitMix64-style step, mix64((h ^ x) + gamma) mod 2**64, on ints."""
+    z = ((h ^ x) + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def reference_matching(seed, i, j, ell):
+    """Edge (i, j)'s permutation under the keyed map, one scalar step at a time."""
+    words = [(seed >> (64 * k)) % 2**64 for k in range(max(1, -(-seed.bit_length() // 64)))]
+    key = 0
+    for word in words:  # low word first
+        key = reference_absorb(key, word)
+    edge = reference_absorb(reference_absorb(key, i), j)
+    sort_keys = [reference_absorb(edge, a) for a in range(ell)]
+    assert len(set(sort_keys)) == ell  # no ties within one edge
+    return tuple(sorted(range(ell), key=lambda a: (sort_keys[a], a)))
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 12345])
 @pytest.mark.parametrize("ell", [1, 2, 3, 80])
 @pytest.mark.parametrize("base", SAMPLER_BASES, ids=["complete", "sparse"])
 def test_sampler_matches_derive_rng(base, ell, seed):
-    """The batched sampler reproduces the per-edge reference stream exactly."""
+    """The vectorised sampler reproduces the scalar keyed map exactly.
+
+    The name and ids are kept from the earlier check against per-edge
+    `derive_rng` streams, which the keyed map replaced."""
     G = sample_uniform_lift(base, ell, seed)
     assert list(G.matchings) == list(base.edges)
     for (i, j), perm in G.matchings.items():
-        assert perm == tuple(derive_rng(seed, i, j).permutation(ell))
+        assert perm == reference_matching(seed, i, j, ell)
+
+
+@pytest.mark.parametrize("n, ell", [(12, 1000), (210, 3)])
+def test_matching_depends_only_on_its_edge(n, ell):
+    """An edge's matching is the same in K_n, sampled over several chunks, and
+    in a base that holds only that edge."""
+    edges = complete_base(n).edges
+    assert len(edges) > lifts._SAMPLE_KEYS // ell  # more than one chunk
+    seed = 2**64 + 99
+    G = sample_uniform_lift(complete_base(n), ell, seed)
+    for e in edges[::max(1, len(edges) // 300)] + edges[-1:]:
+        alone = sample_uniform_lift(BaseGraph(n, (e,)), ell, seed)
+        assert alone.matchings[e] == G.matchings[e]
+
+
+def test_seed_bits_above_64_change_the_lift():
+    base = complete_base(6)
+    lifts_by_seed = [sample_uniform_lift(base, 80, seed).matchings
+                     for seed in (5, 5 + 2**64, 5 + 2**100, 5 + 2**200)]
+    for a, b in combinations(lifts_by_seed, 2):
+        assert a != b
+
+
+@pytest.mark.parametrize("n, ell, seed, digest", [
+    (6, 5, 0, "3f06b1ebc9b70914e56fae58559a7494b0fb0a0799a374119f8fe993fba921b4"),
+    (40, 3, 2**64 + 1, "f76276fce558d107effa684fdf9f433f5172c5faa174db27fb3d96fa6bbf1c52"),
+    (9, 80, 7, "b5b462ebc2d2967440ef04b9c84bd207d9a1c87e9e1768792293037110b90557"),
+], ids=["K6-ell5-seed0", "K40-ell3-seed2**64+1", "K9-ell80-seed7"])
+def test_seed_to_lift_map_is_pinned(n, ell, seed, digest):
+    """Any change of the seed -> lift map fails here by name."""
+    data = serialize(sample_uniform_lift(complete_base(n), ell, seed))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_matchings_are_uniform_across_edges():
+    """Chi-square over the edges of one K_80, ell=3 lift: the 6 permutations,
+    and the 36 joint permutations of the disjoint pairs (i, j), (i, j+1)."""
+    G = sample_uniform_lift(complete_base(80), 3, seed=3160)
+    cells = list(permutations(range(3)))
+    single = Counter(G.matchings.values())
+    assert sum(single.values()) == 3160
+    p_single = chisquare([single[c] for c in cells]).pvalue
+    pairs = Counter((G.matchings[(i, j)], G.matchings[(i, j + 1)])
+                    for i in range(80) for j in range(i + 1, 79, 2))
+    p_pairs = chisquare([pairs[(c, d)] for c in cells for d in cells]).pvalue
+    print(f"per-edge p={p_single:.4f}, neighbour-pair p={p_pairs:.4f} over {sum(pairs.values())} pairs")
+    assert p_single >= 0.01
+    assert p_pairs >= 0.01
 
 
 def test_sampler_rejects_negative_seed():
     with pytest.raises(ValueError):
         sample_uniform_lift(complete_base(3), 2, seed=-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_uniform_lift(complete_base(3), True, 0),
+    lambda: sample_uniform_lift(complete_base(3), 2.0, 0),
+    lambda: sample_uniform_lift(complete_base(3), 2, 1.7),
+    lambda: sample_uniform_lift(complete_base(3), 2, True),
+    lambda: sample_uniform_lift(complete_base(3), 2, "1"),
+    lambda: BaseGraph(3, ((0.5, 1),)),
+    lambda: BaseGraph(3, ((0, True),)),
+    lambda: BaseGraph(True, ()),
+    lambda: BaseGraph(3.0, ()),
+    lambda: complete_base(True),
+    lambda: LiftGraph(complete_base(2), True, {(0, 1): (0,)}),
+    lambda: LiftGraph(complete_base(2), 1.0, {(0, 1): (0,)}),
+    lambda: LiftGraph(complete_base(2), 1, {(0.0, 1): (0,)}),
+    lambda: LiftGraph(complete_base(2), 1, {(False, 1): (0,)}),
+], ids=["ell-bool", "ell-float", "seed-float", "seed-bool", "seed-str", "endpoint-float",
+        "endpoint-bool", "n-bool", "n-float", "complete-bool", "lift-ell-bool",
+        "lift-ell-float", "key-float", "key-bool"])
+def test_constructors_accept_only_integers(make):
+    with pytest.raises(TypeError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integers_become_ints():
+    G = sample_uniform_lift(complete_base(np.int64(4)), np.int64(3), np.uint64(7))
+    assert G == sample_uniform_lift(complete_base(4), 3, 7)
+    assert type(G.ell) is int and type(G.base.num_vertices) is int
+    assert deserialize(serialize(G)) == G
 
 
 def test_load_has_no_quadratic_cliff():
