@@ -24,13 +24,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .connect import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget,
                       connect_between_sets, default_max_len)
-from .lifts import LiftGraph, VertexId, derive_rng
+from .lifts import LiftGraph, _integer, derive_rng
 from .properties import CrossMatching, find_cross_matching
 from .verify import SubdivisionCertificate, certificate_vertex_count, verify_certificate
 
@@ -82,8 +82,13 @@ class BuildConfig:
     star_divisor: float = 4.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # messages start with the field name, which the sweep CLI turns into its flag
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "attempts", _integer(self.attempts, "attempts"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
 
@@ -139,6 +144,15 @@ def _require_complete(G: LiftGraph) -> None:
         raise ValueError("builder requires a lift of a complete base graph")
 
 
+def _certificate(G: LiftGraph, branch: Sequence[int],
+                 paths: dict[tuple[int, int], Sequence[int]]) -> SubdivisionCertificate:
+    """The certificate of flat-id branch vertices and paths; the builders make
+    VertexIds only here."""
+    at = G.vertex_at
+    return SubdivisionCertificate(branch=tuple(map(at, branch)),
+                                  paths={pair: tuple(map(at, p)) for pair, p in paths.items()})
+
+
 def _self_verified(G: LiftGraph, cert: SubdivisionCertificate,
                    stats: BuildStats) -> BuildOutcome:
     verdict = verify_certificate(G, cert)
@@ -177,9 +191,8 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         return BuildOutcome(certificate=None, stats=stats,
                             failure=BuildFailure("branch", f"fiber holds {ell} < n = {n} vertices"))
     if n == 1:
-        cert = SubdivisionCertificate(branch=(VertexId(0, 0),), paths={})
         stats.attempts_used = 1
-        return _self_verified(G, cert, stats)
+        return _self_verified(G, _certificate(G, [0], {}), stats)
 
     last_failure = BuildFailure("connector", "unreached")
     for attempt in range(cfg.attempts):
@@ -193,21 +206,16 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
             w_fiber = int(rng.integers(n))
             layers = sorted(int(x) for x in rng.choice(ell, size=n, replace=False))
             rng_bfs = rng
-        branch = [VertexId(w_fiber, a) for a in layers]
-        trans: list[dict[int, VertexId]] = []
-        for w in branch:
-            trans.append({x.fiber: x for x in G.neighbors(w)})
-        order = sorted(trans[0])
+        branch = [w_fiber * ell + a for a in layers]
+        # on a complete base, w's neighbour row holds one vertex per other
+        # fiber in ascending order: the transversal V_w
+        trans = [G.flat_adjacency[w] for w in branch]
 
         # the branch vertices block their fiber-mates only where chosen; the
         # remaining ell-n fiber-W vertices stay routable
         state = EmbeddingState(G, branch)
         for t in trans:
-            state.add_vertices(t.values())
-
-        if any(len(t) != n - 1 for t in trans):
-            return BuildOutcome(certificate=None, stats=stats,
-                                failure=BuildFailure("branch", "neighborhood is not a transversal"))
+            state.add_vertices(t)
 
         # the cross-matching only ever helps, so the practical default always
         # takes it; under the stated constants it is reserved for short lifts
@@ -215,12 +223,10 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         if cfg.paper_constants and ell > gamma ** 3 * n ** 2 / 48:
             matching = CrossMatching(by_pair={})
         else:
-            matching = find_cross_matching(G, [[t[f] for f in order] for t in trans])
-        used: set[VertexId] = set()
-        paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
+            matching = find_cross_matching(G, trans)
+        used: set[int] = set()
+        paths: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), (x, y) in matching.by_pair.items():
-            if trans[i].get(x.fiber) != x:
-                x, y = y, x
             paths[(i, j)] = (branch[i], x, y, branch[j])
             used.add(x)
             used.add(y)
@@ -231,8 +237,8 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
             pending = [pending[k] for k in rng_bfs.permutation(len(pending))]
         failed_pair: Optional[tuple[int, int]] = None
         for i, j in pending:
-            sources = [v for v in trans[i].values() if v not in used]
-            targets = [v for v in trans[j].values() if v not in used]
+            sources = [v for v in trans[i] if v not in used]
+            targets = [v for v in trans[j] if v not in used]
             try:
                 path = connect_between_sets(G, state, sources, targets,
                                             max_len=max_len, rng=rng_bfs)
@@ -249,8 +255,7 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
                 "connector", f"no admissible path for transversal pair {failed_pair} "
                              f"within length {max_len}")
             continue
-        cert = SubdivisionCertificate(branch=tuple(branch), paths=paths)
-        return _self_verified(G, cert, stats)
+        return _self_verified(G, _certificate(G, branch, paths), stats)
     return BuildOutcome(certificate=None, stats=stats, failure=last_failure)
 
 
@@ -277,7 +282,6 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
     tgt = target_order(n, ell)
     b = math.ceil((1 - 2 * eps) * tgt)
     f1_count = math.ceil((1 - eps) * n)
-    f2_count = n - f1_count
     max_len = default_max_len(cfg.resolve_params(n, ell))
     stats = BuildStats(builder="small", target=tgt)
     if b < 1:
@@ -289,8 +293,6 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
             failure=BuildFailure("branch",
                                  f"partial transversal of size {b} does not fit in {f1_count} fibers"))
 
-    f1_fibers = list(range(f1_count))
-    f2_fibers = list(range(f1_count, n))
     prune_threshold = eps * b / cfg.effective_prune_divisor
     star_size = max(1, math.ceil(eps * b / cfg.effective_star_divisor))
     floor = math.ceil(0.5 * b)  # fewer surviving branch vertices is a failure
@@ -299,16 +301,15 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
     for attempt in range(cfg.attempts):
         stats = BuildStats(builder="small", target=tgt, attempts_used=attempt + 1)
         if attempt == 0:
-            branch = [VertexId(f, 0) for f in range(b)]
+            branch = [f * ell for f in range(b)]
             rng_bfs = None
         else:
             rng = derive_rng(cfg.seed, attempt)
             fibers = sorted(int(x) for x in rng.choice(f1_count, size=b, replace=False))
-            branch = [VertexId(f, int(rng.integers(ell))) for f in fibers]
+            branch = [f * ell + int(rng.integers(ell)) for f in fibers]
             rng_bfs = rng
         outcome = _small_ell_attempt(
-            G, branch, f1_fibers, f2_fibers, prune_threshold, star_size,
-            floor, max_len, rng_bfs, stats)
+            G, branch, f1_count, prune_threshold, star_size, floor, max_len, rng_bfs, stats)
         if isinstance(outcome, BuildFailure):
             last_failure = outcome
             continue
@@ -318,9 +319,8 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
 
 def _small_ell_attempt(
     G: LiftGraph,
-    branch: list[VertexId],
-    f1_fibers: list[int],
-    f2_fibers: list[int],
+    branch: list[int],
+    main: int,
     prune_threshold: float,
     star_size: int,
     floor: int,
@@ -328,37 +328,39 @@ def _small_ell_attempt(
     rng_bfs: Optional[np.random.Generator],
     stats: BuildStats,
 ) -> SubdivisionCertificate | BuildFailure:
-    b = len(branch)
-    paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
-    # row i holds branch[i]'s neighbour in every fiber, as a flat id: the base
-    # is complete, so the sorted adjacency list has one entry per other fiber
-    # in fiber order, and -1 fills branch[i]'s own fiber
+    # branch vertices, paths and star leaves are flat ids; the main block is
+    # fibers 0..main-1 and the reserved block the rest
+    b, ell = len(branch), G.ell
+    reserved = range(main, G.base.num_vertices)
+    fiber = [v // ell for v in branch]
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    # row i holds branch[i]'s neighbour in every fiber: the base is complete,
+    # so the sorted adjacency list has one entry per other fiber in fiber
+    # order, and -1 fills branch[i]'s own fiber
     rows = []
-    for v in branch:
-        row = G.flat_adjacency[G.flat_id(v)][:]
-        row.insert(v.fiber, -1)
+    for v, f in zip(branch, fiber):
+        row = G.flat_adjacency[v][:]
+        row.insert(f, -1)
         rows.append(row)
 
     # stage 2: direct edges
     uncovered: set[tuple[int, int]] = set()
     for i, j in combinations(range(b), 2):
-        if G.is_edge(branch[i], branch[j]):
+        if rows[i][fiber[j]] == branch[j]:
             paths[(i, j)] = (branch[i], branch[j])
             stats.direct_edges += 1
         else:
             uncovered.add((i, j))
 
     # stage 3: length-2 paths through fresh common neighbors in the main block
-    # (fibers 0..main-1), where two rows agree, in ascending fiber order; the
-    # candidates stay flat ids, since each pair takes at most one of them
-    main = len(f1_fibers)
-    branch_flat = {G.flat_id(v) for v in branch}
+    # (fibers 0..main-1), where two rows agree, in ascending fiber order
+    branch_set = set(branch)
     candidates: dict[tuple[int, int], list[int]] = {}
     pointer: dict[tuple[int, int], int] = {}
     for pair in uncovered:
         i, j = pair
         candidates[pair] = [x for x, y in zip(rows[i][:main], rows[j])
-                            if x == y and x not in branch_flat]
+                            if x == y and x not in branch_set]
         pointer[pair] = 0
     used_middles: set[int] = set()
     deficiency = [0] * b
@@ -394,7 +396,7 @@ def _small_ell_attempt(
             if mid is None:
                 continue
             used_middles.add(mid)
-            paths[pair] = (branch[pair[0]], G.vertex_at(mid), branch[pair[1]])
+            paths[pair] = (branch[pair[0]], mid, branch[pair[1]])
             uncovered.discard(pair)
             deficiency[pair[0]] -= 1
             deficiency[pair[1]] -= 1
@@ -419,15 +421,15 @@ def _small_ell_attempt(
 
     # stage 5: vertex-disjoint stars into the reserved fibers
     needs_star = sorted({i for p in pending_pairs for i in p})
-    star_leaves: dict[int, list[VertexId]] = {}
-    used_leaves: set[VertexId] = set()
-    if needs_star and not f2_fibers:
+    star_leaves: dict[int, list[int]] = {}
+    used_leaves: set[int] = set()
+    if needs_star and not reserved:
         return BuildFailure("stars", "no reserved fibers but connections remain")
     dropped: set[int] = set()
     for i in needs_star:
         leaves = []
-        for g in f2_fibers:
-            w = G.vertex_at(rows[i][g])
+        for g in reserved:
+            w = rows[i][g]
             if w not in used_leaves:
                 leaves.append(w)
                 if len(leaves) == star_size:
@@ -446,14 +448,12 @@ def _small_ell_attempt(
         pending_pairs = [p for p in pending_pairs if p[0] in alive and p[1] in alive]
 
     # stage 6: connect star leaves inside the reserved block
-    state = EmbeddingState(G)
-    for g in f1_fibers:
-        state.add_vertices(VertexId(g, a) for a in range(G.ell))
+    state = EmbeddingState(G, range(main * ell))
     for leaves in star_leaves.values():
         state.add_vertices(leaves)
-    consumed_leaves: set[VertexId] = set()
+    consumed_leaves: set[int] = set()
 
-    def available_leaves(i: int) -> list[VertexId]:
+    def available_leaves(i: int) -> list[int]:
         return [w for w in star_leaves[i] if w not in consumed_leaves]
     for pair in list(pending_pairs):
         i, j = pair
@@ -484,7 +484,7 @@ def _small_ell_attempt(
 
     final = sorted(alive)
     index = {old: new for new, old in enumerate(final)}
-    out_paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
+    out_paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in combinations(final, 2):
         p = paths.get((i, j))
         if p is None:
@@ -493,4 +493,4 @@ def _small_ell_attempt(
     # recount stage stats against the final certificate
     stats.direct_edges = sum(1 for p in out_paths.values() if len(p) == 2)
     stats.length2_paths = sum(1 for p in out_paths.values() if len(p) == 3)
-    return SubdivisionCertificate(branch=tuple(branch[i] for i in final), paths=out_paths)
+    return _certificate(G, [branch[i] for i in final], out_paths)

@@ -195,7 +195,7 @@ def cmd_props(args) -> int:
     data = json.loads(Path(args.transversals).read_text())
     if not isinstance(data, list):
         raise SideFileError(f"{args.transversals} must be an array of transversals")
-    transversals = [[VertexId(f, l) for f, l in _int_pairs(T, f"{args.transversals}[{k}]")]
+    transversals = [[G.flat_id(v) for v in _int_pairs(T, f"{args.transversals}[{k}]")]
                     for k, T in enumerate(data)]
     M = props_mod.find_cross_matching(G, transversals)
     total = math.comb(len(transversals), 2)
@@ -203,7 +203,7 @@ def cmd_props(args) -> int:
         "covered_pairs": sorted(M.covered_pairs),
         "covered": len(M.covered_pairs),
         "uncovered": total - len(M.covered_pairs),
-        "edges": sorted([list(u), list(v)] for u, v in M.edges),
+        "edges": sorted([list(G.vertex_at(u)), list(G.vertex_at(w))] for u, w in M.edges),
     }, args.format)
     return 0
 
@@ -265,11 +265,14 @@ class SweepConfig:
     attempts: int = 3
 
     def __post_init__(self):
-        # checked here, before run_sweep opens the output file
+        # checked here, before run_sweep opens the output file; BuildConfig
+        # checks --epsilon, --seed and --attempts as the trials' configs will
         if self.trials < 1:
             raise ValueError("--trials must be >= 1")
-        if self.attempts < 1:
-            raise ValueError("--attempts must be >= 1")
+        try:
+            BuildConfig(epsilon=self.epsilon, seed=self.seed, attempts=self.attempts)
+        except ValueError as exc:
+            raise ValueError(f"--{exc}") from None
         if self.workers < 1:
             raise ValueError(f"--workers (or {WORKERS_ENV}) must be >= 1")
         if self.time_budget is not None and not self.time_budget > 0:

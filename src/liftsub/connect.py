@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lifts import LiftGraph, VertexId
+from .lifts import LiftGraph
 
 __all__ = [
     "EmbeddingState",
@@ -54,42 +54,42 @@ def default_max_len(params: ExtendabilityParams) -> int:
 
 
 class EmbeddingState:
-    """The growing subgraph S of a lift, in flat vertex ids.
+    """The growing subgraph S of a lift, in flat vertex ids (fiber*ell + layer).
 
     `blocked` holds the vertices of S; `used_edges` holds every edge of S in
-    both orientations, so a routing hop (x, w) is looked up as given.
+    both orientations, so a routing hop (x, w) is looked up as given.  An id
+    outside [0, N) never enters S.
     """
 
-    def __init__(self, G: LiftGraph, vertices: Iterable[VertexId] = ()):
+    def __init__(self, G: LiftGraph, vertices: Iterable[int] = ()):
         self.graph = G
         self.blocked: set[int] = set()
         self.used_edges: set[tuple[int, int]] = set()
         self.add_vertices(vertices)
 
-    def _flat(self, v: VertexId) -> int:
-        return self.graph.flat_id(self.graph._check_vertex(v))
+    def add_vertices(self, vs: Iterable[int]) -> None:
+        vs = set(vs)
+        if vs and not (0 <= min(vs) and max(vs) < self.graph.num_vertices):
+            raise ValueError(f"vertex ids out of range [0,{self.graph.num_vertices})")
+        self.blocked.update(vs)
 
-    def add_vertices(self, vs: Iterable[VertexId]) -> None:
-        self.blocked.update(self._flat(v) for v in vs)
-
-    def add_path(self, path: Sequence[VertexId]) -> None:
+    def add_path(self, path: Sequence[int]) -> None:
         """Commit a path whose endpoints are in S and internals are new."""
         if len(path) < 2:
             raise ValueError("a path needs at least two vertices")
-        flat = [self._flat(v) for v in path]
-        if flat[0] not in self.blocked or flat[-1] not in self.blocked:
+        if path[0] not in self.blocked or path[-1] not in self.blocked:
             raise ValueError("path endpoints must already belong to S")
-        internal = flat[1:-1]
-        for x, v in zip(internal, path[1:-1]):
+        internal = path[1:-1]
+        for x in internal:
             if x in self.blocked:
-                raise ValueError(f"internal vertex {tuple(v)} already belongs to S")
+                raise ValueError(f"internal vertex {x} already belongs to S")
         if len(set(internal)) != len(internal):
             raise ValueError("internal vertices must be distinct")
-        hops = list(zip(flat, flat[1:]))
-        for (a, b), va, vb in zip(hops, path, path[1:]):
+        hops = list(zip(path, path[1:]))
+        for a, b in hops:
             if (a, b) in self.used_edges:
-                raise ValueError(f"edge {tuple(va)}-{tuple(vb)} already belongs to S")
-        self.blocked.update(internal)
+                raise ValueError(f"edge {a}-{b} already belongs to S")
+        self.add_vertices(internal)  # also checks that the ids lie in the lift
         for a, b in hops:
             self.used_edges.add((a, b))
             self.used_edges.add((b, a))
@@ -160,21 +160,22 @@ def _bfs_levels(
 def connect_between_sets(
     G: LiftGraph,
     S: EmbeddingState,
-    sources: Sequence[VertexId],
-    targets: Sequence[VertexId],
+    sources: Sequence[int],
+    targets: Sequence[int],
     max_len: int,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[VertexId, ...]:
+) -> tuple[int, ...]:
     """Shortest admissible path from any source to any target, committed to S.
 
-    Both endpoint pools must lie in S and be disjoint.  Internal vertices stay
-    outside S and no edge of S is reused.  Ties go to the smallest target
-    flat id, with the frontier scanned in ascending order, or in a seeded
-    random order when `rng` is given.  On failure S is unchanged and
-    NoPathWithinBudget is raised.
+    Sources, targets and the returned path are flat vertex ids.  Both endpoint
+    pools must lie in S and be disjoint.  Internal vertices stay outside S and
+    no edge of S is reused.  Ties go to the smallest target flat id, with the
+    frontier scanned in ascending order, or in a seeded random order when
+    `rng` is given.  On failure S is unchanged and NoPathWithinBudget is
+    raised.
     """
-    starts = sorted(S._flat(s) for s in sources)
-    terminals = {S._flat(t) for t in targets}
+    starts = sorted(sources)
+    terminals = set(targets)
     if any(x not in S.blocked for x in starts) or any(x not in S.blocked for x in terminals):
         raise ValueError("all endpoint candidates must belong to S")
     if terminals.intersection(starts):
@@ -191,10 +192,10 @@ def connect_between_sets(
     if best is None:
         raise NoPathWithinBudget(f"no path between the endpoint pools of length <= {max_len}")
     x = best[1]
-    flat_path = [x]
+    path = [x]
     while dist[x] > 0:
         x = parent[x]
-        flat_path.append(x)
-    path = tuple(G.vertex_at(x) for x in reversed(flat_path))
+        path.append(x)
+    path.reverse()
     S.add_path(path)
-    return path
+    return tuple(path)

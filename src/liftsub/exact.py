@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .lifts import LiftGraph, derive_rng
+from .lifts import LiftGraph, _integer, derive_rng
 
 __all__ = [
     "HajosResult",
@@ -74,16 +74,18 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        n = _integer(self.num_vertices, "num_vertices")
         norm = []
         for i, j in self.edges:
-            i, j = int(i), int(j)
+            i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
             if i == j:
                 raise ValueError("loops are not allowed")
             if i > j:
                 i, j = j, i
-            if not (0 <= i < self.num_vertices and j < self.num_vertices):
+            if not (0 <= i < n and j < n):
                 raise ValueError(f"edge ({i},{j}) out of range")
             norm.append((i, j))
+        object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "edges", tuple(sorted(set(norm))))
 
     @cached_property
@@ -412,9 +414,7 @@ def check_property_P(G: LiftGraph, X: Iterable) -> bool:
     size the property constrains.
     """
     n = G.base.num_vertices
-    flat_x = []
-    for v in X:
-        flat_x.append(G.flat_id(G._check_vertex(v)))
+    flat_x = [G.flat_id(v) for v in X]
     if len(set(flat_x)) != len(flat_x):
         raise ValueError("X contains repeated vertices")
     if len(flat_x) != n:
@@ -480,13 +480,14 @@ def exact_avoidance_probability(F: Iterable[tuple[int, int]], ell: int) -> Fract
     Equals permanent(J - A_F) / ell!, with the permanent of the 0/1 allowed
     matrix computed by inclusion-exclusion over column subsets (Ryser).
     """
+    ell = _integer(ell, "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell > MAX_PERMANENT_ELL:
         raise ValueError(f"ell={ell} exceeds the permanent cap {MAX_PERMANENT_ELL}")
     allowed = [[1] * ell for _ in range(ell)]
     for a, b in F:
-        a, b = int(a), int(b)
+        a, b = _integer(a, "layer"), _integer(b, "layer")
         if not (0 <= a < ell and 0 <= b < ell):
             raise ValueError(f"pair ({a},{b}) out of range for ell={ell}")
         allowed[a][b] = 0

@@ -12,6 +12,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -46,7 +47,7 @@ def derive_rng(*key: int) -> np.random.Generator:
     The same key always yields the same stream, independently of the order in
     which other streams were created.
     """
-    parts = tuple(int(k) for k in key)
+    parts = tuple(_integer(k, "rng key component") for k in key)
     if any(k < 0 for k in parts):
         raise ValueError(f"rng key components must be non-negative, got {parts}")
     return np.random.default_rng(np.random.SeedSequence(parts))
@@ -126,7 +127,7 @@ class LiftGraph:
                 raise ValueError(f"matching key {i}-{j} is not a base edge")
             if e in normalized:
                 raise ValueError(f"matching key {i}-{j} given twice")
-            p = tuple(map(int, perm))
+            p = tuple(map(operator.index, perm))
             if sorted(p) != identity:
                 raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{ell})")
             normalized[e] = p
@@ -134,6 +135,9 @@ class LiftGraph:
         if missing:
             i, j = min(missing)
             raise ValueError(f"matching missing for base edge {i}-{j}")
+        # operator.index reads booleans as 0 and 1; one scan refuses them
+        if bool in map(type, chain.from_iterable(self.matchings.values())):
+            raise TypeError("matching entries must be integers, got a boolean")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "matchings", normalized)
 
@@ -160,7 +164,14 @@ class LiftGraph:
         return adj
 
     def flat_id(self, v: VertexId) -> int:
-        return v.fiber * self.ell + v.layer
+        """v's flat id fiber*ell + layer.  The one check of a vertex given from
+        outside: a non-integer part raises TypeError, a vertex outside the lift
+        ValueError."""
+        f, a = v
+        f, a = _integer(f, "fiber"), _integer(a, "layer")
+        if not (0 <= f < self.base.num_vertices and 0 <= a < self.ell):
+            raise ValueError(f"vertex ({f},{a}) out of range for n={self.base.num_vertices}, ell={self.ell}")
+        return f * self.ell + a
 
     def vertex_at(self, flat: int) -> VertexId:
         return VertexId(flat // self.ell, flat % self.ell)
@@ -170,29 +181,18 @@ class LiftGraph:
             for a in range(self.ell):
                 yield VertexId(f, a)
 
-    def _check_vertex(self, v: VertexId) -> VertexId:
-        f, a = int(v[0]), int(v[1])
-        if not (0 <= f < self.base.num_vertices and 0 <= a < self.ell):
-            raise ValueError(f"vertex ({f},{a}) out of range for n={self.base.num_vertices}, ell={self.ell}")
-        return VertexId(f, a)
-
     def neighbors(self, v: VertexId) -> set[VertexId]:
         """The neighbors of v: exactly one per base edge incident to v's fiber."""
-        flat = self.flat_id(self._check_vertex(v))
-        return {self.vertex_at(w) for w in self.flat_adjacency[flat]}
+        return {self.vertex_at(w) for w in self.flat_adjacency[self.flat_id(v)]}
 
     def is_edge(self, u: VertexId, v: VertexId) -> bool:
         """True iff u and v are matched under the relevant base-edge permutation."""
-        u = self._check_vertex(u)
-        v = self._check_vertex(v)
-        if u.fiber == v.fiber:
-            return False
-        if u.fiber > v.fiber:
-            u, v = v, u
-        perm = self.matchings.get((u.fiber, v.fiber))
-        if perm is None:
-            return False
-        return perm[u.layer] == v.layer
+        i, a = divmod(self.flat_id(u), self.ell)
+        j, b = divmod(self.flat_id(v), self.ell)
+        if i > j:
+            i, a, j, b = j, b, i, a
+        perm = self.matchings.get((i, j))  # None within a fiber
+        return perm is not None and perm[a] == b
 
 
 # --- keyed sampling ------------------------------------------------------------

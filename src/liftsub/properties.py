@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .exact import lift_to_simple
-from .lifts import LiftGraph, VertexId, derive_rng
+from .lifts import LiftGraph, VertexId, _integer, derive_rng
 
 __all__ = [
     "AvoidanceEstimate",
@@ -136,7 +136,7 @@ def check_expansion_into(
     v_flags = np.zeros(G.num_vertices, dtype=bool)
     per_fiber = [0] * n
     for v in V:
-        f = G.flat_id(G._check_vertex(v))
+        f = G.flat_id(v)
         if not v_flags[f]:
             v_flags[f] = True
             per_fiber[f // ell] += 1
@@ -184,12 +184,14 @@ def check_expansion_into(
 
 @dataclass(frozen=True)
 class CrossMatching:
-    """A lift matching covering at most one edge per transversal pair."""
+    """A lift matching covering at most one edge per transversal pair.
 
-    by_pair: dict[tuple[int, int], tuple[VertexId, VertexId]]
+    `by_pair[(i, j)] = (u, w)` in flat ids, u in transversal i and w in j."""
+
+    by_pair: dict[tuple[int, int], tuple[int, int]]
 
     @property
-    def edges(self) -> frozenset[tuple[VertexId, VertexId]]:
+    def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(tuple(sorted(e)) for e in self.by_pair.values())
 
     @property
@@ -197,55 +199,48 @@ class CrossMatching:
         return frozenset(self.by_pair)
 
 
-def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[VertexId]]) -> CrossMatching:
+def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[int]]) -> CrossMatching:
     """Greedy maximal matching with at most one edge per transversal pair.
 
-    Pairs (i, j) are processed in lexicographic order; within a pair the scan
-    walks fibers in increasing index and takes the first vertex-disjoint lift
-    edge.  One pass is maximal: the matched vertices only grow, so a pair that
-    found no edge stays uncoverable.
+    Transversals are lists of flat vertex ids: pairwise disjoint, one vertex
+    per fiber, all over the same fibers.  Pairs (i, j) are processed in
+    lexicographic order; within a pair the scan walks transversal i in
+    increasing fiber and takes the first vertex-disjoint lift edge into
+    transversal j.  One pass is maximal: the matched vertices only grow, so a
+    pair that found no edge stays uncoverable.
     """
-    ell = G.ell
-    fiber_sets = []
-    by_fiber: list[dict[int, int]] = []  # fiber -> flat id, per transversal
-    seen: set[int] = set()
-    for t_idx, T in enumerate(transversals):
-        mapping: dict[int, int] = {}
-        for v in T:
-            v = G._check_vertex(v)
-            flat = G.flat_id(v)
-            if flat in seen:
-                raise ValueError(f"transversals are not pairwise disjoint at {tuple(v)}")
-            seen.add(flat)
-            if v.fiber in mapping:
-                raise ValueError(f"transversal {t_idx} has two vertices in fiber {v.fiber}")
-            mapping[v.fiber] = flat
-        by_fiber.append(mapping)
-        fiber_sets.append(frozenset(mapping))
-    if fiber_sets and any(fs != fiber_sets[0] for fs in fiber_sets):
-        raise ValueError("all transversals must cover the same set of fibers")
+    N, ell = G.num_vertices, G.ell
+    rows = [sorted(T) for T in transversals]  # ascending flat id is ascending fiber
+    fibers = [x // ell for x in rows[0]] if rows else []
+    owner: dict[int, int] = {}  # flat id -> index of its transversal
+    for t, row in enumerate(rows):
+        for x in row:
+            if not 0 <= x < N:
+                raise ValueError(f"vertex id {x} out of range [0,{N})")
+            if owner.setdefault(x, t) != t:
+                raise ValueError(f"transversals are not pairwise disjoint at {x}")
+        row_fibers = [x // ell for x in row]
+        if len(set(row_fibers)) != len(row):
+            raise ValueError(f"transversal {t} has two vertices in one fiber")
+        if row_fibers != fibers:
+            raise ValueError("all transversals must cover the same set of fibers")
 
     adj = G.flat_adjacency
-    fibers = sorted(fiber_sets[0]) if fiber_sets else []
     used: set[int] = set()
-    by_pair: dict[tuple[int, int], tuple[VertexId, VertexId]] = {}
+    by_pair: dict[tuple[int, int], tuple[int, int]] = {}
 
     def try_cover(i: int, j: int) -> None:
-        for f in fibers:
-            u = by_fiber[i][f]
+        for u in rows[i]:
             if u in used:
                 continue
-            tj = by_fiber[j]
-            for w in adj[u]:  # sorted: ascending fiber, then layer
-                if w in used:
-                    continue
-                if tj.get(w // ell) == w:
+            for w in adj[u]:
+                if w not in used and owner.get(w) == j:
                     used.add(u)
                     used.add(w)
-                    by_pair[(i, j)] = (G.vertex_at(u), G.vertex_at(w))
+                    by_pair[(i, j)] = (u, w)
                     return
 
-    for i, j in combinations(range(len(transversals)), 2):
+    for i, j in combinations(range(len(rows)), 2):
         try_cover(i, j)
     return CrossMatching(by_pair=by_pair)
 
@@ -281,13 +276,14 @@ def estimate_avoidance_probability(
     F is a set of (left layer, right layer) pairs on [0, ell) x [0, ell).
     Returns the point estimate with a two-sided 99% Wilson interval.
     """
+    ell = _integer(ell, "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pairs = set()
     for a, b in F:
-        a, b = int(a), int(b)
+        a, b = _integer(a, "layer"), _integer(b, "layer")
         if not (0 <= a < ell and 0 <= b < ell):
             raise ValueError(f"pair ({a},{b}) out of range for ell={ell}")
         pairs.add((a, b))

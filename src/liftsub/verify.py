@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .lifts import LiftGraph, VertexId, _json_object, _pair_key
+from .lifts import LiftGraph, VertexId, _integer, _json_object, _pair_key
 
 __all__ = [
     "CertificateFormatError",
@@ -51,14 +51,18 @@ class SubdivisionCertificate:
     paths: Mapping[tuple[int, int], tuple[VertexId, ...]]
 
     def __post_init__(self):
-        branch = tuple(VertexId(int(v[0]), int(v[1])) for v in self.branch)
+        def vertex(v) -> VertexId:
+            f, a = v
+            return VertexId(_integer(f, "fiber"), _integer(a, "layer"))
+
+        branch = tuple(map(vertex, self.branch))
         paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
         for (i, j), path in self.paths.items():
-            i, j = int(i), int(j)
+            i, j = _integer(i, "branch index"), _integer(j, "branch index")
             if i > j:
                 i, j = j, i
                 path = tuple(reversed(tuple(path)))
-            paths[(i, j)] = tuple(VertexId(int(v[0]), int(v[1])) for v in path)
+            paths[(i, j)] = tuple(map(vertex, path))
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "paths", paths)
 

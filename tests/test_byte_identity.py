@@ -45,6 +45,14 @@ CASES = {
         {"builder": "large", "direct_edges": 1045, "length2_paths": 0, "connector_paths": 83,
          "pruned_branch": 0, "vertices_used": 2406, "attempts_used": 1,
          "max_connector_len": 3, "target": 48.0, "achieved": 48}),
+    # paper constants at ell > gamma^3 n^2 / 48: no cross-matching, so every
+    # pair is routed
+    "large-K30-ell45-paper": (
+        build_large_ell, 30, 45, 5, BuildConfig(epsilon=0.5, seed=5, paper_constants=True),
+        "4cd092960a972b5c03f49e0fc2aaabfd7e85729c1b8b3cdc17650815cc95cde0",
+        {"builder": "large", "direct_edges": 0, "length2_paths": 0, "connector_paths": 435,
+         "pruned_branch": 0, "vertices_used": 979, "attempts_used": 1,
+         "max_connector_len": 4, "target": 30.0, "achieved": 30}),
 }
 
 

@@ -59,6 +59,9 @@ def test_usage_error_exits_two(tmp_path, lift_file, capsys):
     assert not out.exists()
     assert run(["build", "-i", lift_file, "--D", 5]) == 2  # --D without --m
     assert "--m" in capsys.readouterr().err
+    for eps in ("inf", "nan"):  # refused by BuildConfig, not a crash
+        assert run(["build", "-i", lift_file, "--builder", "small", "--epsilon", eps]) == 2
+        assert "epsilon must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_parse_error_exits_two(tmp_path):
@@ -273,7 +276,8 @@ def _no_pool(*args, **kwargs):
 
 
 @pytest.mark.parametrize("flag, value", [("--attempts", 0), ("--workers", -3),
-                                         ("--time-budget", -1)])
+                                         ("--time-budget", -1), ("--epsilon", 0),
+                                         ("--epsilon", "inf")])
 def test_sweep_rejects_bad_values_before_writing(tmp_path, monkeypatch, capsys, flag, value):
     monkeypatch.setattr("liftsub.cli.ProcessPoolExecutor", _no_pool)
     out = tmp_path / "sweep.csv"

@@ -1,11 +1,11 @@
-"""Embedding state maintenance and disjoint short-path routing."""
+"""Embedding state maintenance and disjoint short-path routing, in flat
+vertex ids (fiber*ell + layer)."""
 
 import numpy as np
 import pytest
 
-from liftsub import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget, VertexId,
-                     complete_base, connect_between_sets, default_max_len,
-                     sample_uniform_lift)
+from liftsub import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget, complete_base,
+                     connect_between_sets, default_max_len, sample_uniform_lift)
 
 PARAMS = ExtendabilityParams(D=6, m=16)
 MAX_LEN = default_max_len(PARAMS)
@@ -13,6 +13,11 @@ MAX_LEN = default_max_len(PARAMS)
 
 def snapshot(S):
     return set(S.blocked), set(S.used_edges)
+
+
+def is_edge(G, a, b):
+    """The lift's own edge test on two flat ids, read from the matchings."""
+    return G.is_edge(G.vertex_at(a), G.vertex_at(b))
 
 
 def test_params_validation():
@@ -30,46 +35,61 @@ def test_default_max_len():
 
 def test_add_path_rejects_bad_input():
     G = sample_uniform_lift(complete_base(10), 10, seed=0)
-    S = EmbeddingState(G, [VertexId(0, 0), VertexId(1, 0)])
+    # (0,0), (1,0), (5,5) and (9,9) with ell = 10
+    S = EmbeddingState(G, [0, 10])
     with pytest.raises(ValueError):
-        S.add_path((VertexId(0, 0),))
+        S.add_path((0,))
     with pytest.raises(ValueError):
-        S.add_path((VertexId(0, 0), VertexId(5, 5), VertexId(9, 9)))  # endpoint not in S
+        S.add_path((0, 55, 99))  # endpoint not in S
     with pytest.raises(ValueError):
-        S.add_path((VertexId(0, 0), VertexId(1, 0), VertexId(0, 0)))  # internal in S
+        S.add_path((0, 10, 0))  # internal in S
     with pytest.raises(ValueError):
-        S.add_path((VertexId(0, 0), VertexId(5, 5), VertexId(5, 5), VertexId(1, 0)))
-    S.add_path((VertexId(0, 0), VertexId(1, 0)))
+        S.add_path((0, 55, 55, 10))
+    S.add_path((0, 10))
     with pytest.raises(ValueError):
-        S.add_path((VertexId(1, 0), VertexId(0, 0)))  # edge already in S
+        S.add_path((10, 0))  # edge already in S
+
+
+@pytest.mark.parametrize("bad", [-1, 100])
+def test_state_rejects_ids_outside_the_lift(bad):
+    # N = 100: -1 would otherwise index the last adjacency row
+    G = sample_uniform_lift(complete_base(10), 10, seed=0)
+    with pytest.raises(ValueError, match="out of range"):
+        EmbeddingState(G, [0, bad])
+    S = EmbeddingState(G, [0, 10])
+    with pytest.raises(ValueError, match="out of range"):
+        S.add_vertices([bad])
+    with pytest.raises(ValueError, match="out of range"):
+        S.add_path((0, bad, 10))
+    assert snapshot(S) == ({0, 10}, set())
 
 
 def test_connect_adjacent_pair_gives_edge_path():
     G = sample_uniform_lift(complete_base(4), 3, seed=0)
-    u = VertexId(0, 0)
-    v = next(iter(G.neighbors(u)))
+    u = 0
+    v = G.flat_adjacency[u][0]
     S = EmbeddingState(G, [u, v])
     assert connect_between_sets(G, S, [u], [v], MAX_LEN) == (u, v)
-    assert S.blocked == {G.flat_id(u), G.flat_id(v)}
+    assert S.blocked == {u, v}
 
 
 def test_connect_commits_internals_and_edges():
     G = sample_uniform_lift(complete_base(5), 8, seed=4)
-    u, v = VertexId(0, 0), VertexId(0, 1)  # same fiber: no direct edge
+    u, v = 0, 1  # (0,0) and (0,1), same fiber: no direct edge
     S = EmbeddingState(G, [u, v])
     path = connect_between_sets(G, S, [u], [v], MAX_LEN)
     assert len(path) >= 3 and path[0] == u and path[-1] == v
-    assert S.blocked == {G.flat_id(x) for x in path}
+    assert S.blocked == set(path)
     for a, b in zip(path, path[1:]):
-        assert G.is_edge(a, b)
-        assert (G.flat_id(a), G.flat_id(b)) in S.used_edges
-        assert (G.flat_id(b), G.flat_id(a)) in S.used_edges
+        assert is_edge(G, a, b)
+        assert (a, b) in S.used_edges
+        assert (b, a) in S.used_edges
     assert len(S.used_edges) == 2 * (len(path) - 1)
 
 
 def test_connect_respects_max_len():
     G = sample_uniform_lift(complete_base(5), 8, seed=4)
-    u, v = VertexId(0, 0), VertexId(0, 1)
+    u, v = 0, 1
     S = EmbeddingState(G, [u, v])
     with pytest.raises(NoPathWithinBudget):
         connect_between_sets(G, S, [u], [v], max_len=1)
@@ -77,10 +97,10 @@ def test_connect_respects_max_len():
 
 def test_connect_failure_leaves_state_bit_identical():
     G = sample_uniform_lift(complete_base(2), 3, seed=0)  # a bare matching
-    a = VertexId(0, 0)
+    a = 0  # (0,0); fiber 1 starts at flat id 3
     matched = G.matchings[(0, 1)][0]
-    b = VertexId(1, (matched + 1) % 3)
-    c, d = VertexId(0, 2), VertexId(1, G.matchings[(0, 1)][2])
+    b = 3 + (matched + 1) % 3
+    c, d = 2, 3 + G.matchings[(0, 1)][2]
     S = EmbeddingState(G, [a, b, c, d])
     S.add_path((c, d))  # a used edge, so the snapshot covers both sets
     before = snapshot(S)
@@ -91,19 +111,22 @@ def test_connect_failure_leaves_state_bit_identical():
 
 def test_connect_validates_endpoints():
     G = sample_uniform_lift(complete_base(4), 3, seed=0)
-    u, v = VertexId(0, 0), VertexId(1, 0)
+    u, v = 0, 3  # (0,0) and (1,0)
     S = EmbeddingState(G, [u])
     with pytest.raises(ValueError):
         connect_between_sets(G, S, [u], [u], MAX_LEN)  # pools overlap
     with pytest.raises(ValueError):
         connect_between_sets(G, S, [u], [v], MAX_LEN)  # v not in S
-    with pytest.raises(ValueError):
-        connect_between_sets(G, S, [u], [VertexId(9, 0)], MAX_LEN)  # not a lift vertex
+    for bad in (-1, G.num_vertices):  # not a lift vertex
+        with pytest.raises(ValueError):
+            connect_between_sets(G, S, [u], [bad], MAX_LEN)
+        with pytest.raises(ValueError):
+            connect_between_sets(G, S, [bad], [u], MAX_LEN)
 
 
 def test_connect_internal_vertices_fresh_and_disjoint():
     G = sample_uniform_lift(complete_base(6), 12, seed=5)
-    pairs = [(VertexId(0, 2 * k), VertexId(1, 2 * k + 1)) for k in range(4)]
+    pairs = [(2 * k, 12 + 2 * k + 1) for k in range(4)]  # (0, 2k) and (1, 2k+1)
     S = EmbeddingState(G, [x for p in pairs for x in p])
     seen = set()
     for u, v in pairs:
@@ -111,7 +134,7 @@ def test_connect_internal_vertices_fresh_and_disjoint():
         path = connect_between_sets(G, S, [u], [v], MAX_LEN)
         assert len(path) - 1 <= MAX_LEN
         for x in path[1:-1]:
-            assert G.flat_id(x) not in before
+            assert x not in before
             assert x not in seen
             seen.add(x)
 
@@ -119,8 +142,8 @@ def test_connect_internal_vertices_fresh_and_disjoint():
 def test_connect_does_not_reuse_direct_edge():
     # two paths between the same endpoints: the second may not repeat the edge
     G = sample_uniform_lift(complete_base(5), 6, seed=3)
-    u = VertexId(0, 0)
-    v = min(G.neighbors(u))
+    u = 0
+    v = min(G.flat_adjacency[u])
     S = EmbeddingState(G, [u, v])
     assert connect_between_sets(G, S, [u], [v], MAX_LEN) == (u, v)
     second = connect_between_sets(G, S, [u], [v], MAX_LEN)
@@ -130,21 +153,21 @@ def test_connect_does_not_reuse_direct_edge():
 
 def test_connect_between_sets_skips_used_direct_edge():
     G = sample_uniform_lift(complete_base(5), 6, seed=3)
-    u = VertexId(0, 0)
-    v = min(G.neighbors(u))
-    other = VertexId(0, 1)
+    u = 0
+    v = min(G.flat_adjacency[u])
+    other = 1  # (0,1)
     S = EmbeddingState(G, [u, v, other])
     connect_between_sets(G, S, [u], [v], MAX_LEN)  # consumes the direct edge
     path = connect_between_sets(G, S, [u, other], [v], MAX_LEN)
     for a, b in zip(path, path[1:]):
-        assert G.is_edge(a, b)
+        assert is_edge(G, a, b)
     assert path != (u, v)
 
 
 def test_connect_deterministic_on_fresh_states():
     G = sample_uniform_lift(complete_base(8), 12, seed=6)
-    sources = [VertexId(0, k) for k in range(4)]
-    targets = [VertexId(1, k) for k in range(4, 8)]
+    sources = list(range(4))  # (0, 0..3)
+    targets = [12 + k for k in range(4, 8)]  # (1, 4..7)
 
     def route(rng_seed):
         S = EmbeddingState(G, sources + targets)
@@ -162,11 +185,11 @@ def test_sequential_connects_stay_disjoint_at_scale():
     max_len = default_max_len(ExtendabilityParams(D=8, m=min(5 * ell * 4, 1280)))
     S = EmbeddingState(G)
     for t in range(n):
-        S.add_vertices(VertexId(f, t) for f in range(n - 1))
-    rngpairs = [(VertexId(f, 2 * k % n), VertexId((f + 7) % (n - 1), (2 * k + 1) % n))
+        S.add_vertices(f * ell + t for f in range(n - 1))
+    rngpairs = [(f * ell + 2 * k % n, (f + 7) % (n - 1) * ell + (2 * k + 1) % n)
                 for k, f in enumerate(range(0, 44))] + \
-               [(VertexId(f, 5), VertexId((f + 11) % (n - 1), 7)) for f in range(44)] + \
-               [(VertexId(f, 9), VertexId((f + 13) % (n - 1), 11)) for f in range(12)]
+               [(f * ell + 5, (f + 11) % (n - 1) * ell + 7) for f in range(44)] + \
+               [(f * ell + 9, (f + 13) % (n - 1) * ell + 11) for f in range(12)]
     seen_internal = set()
     done = 0
     for u, v in rngpairs[:100]:
@@ -183,8 +206,8 @@ def reference_route(G, S, sources, targets, max_len, rng):
     """The full-depth search: expand every level up to `max_len`, then take
     the terminal with the smallest (distance, flat id)."""
     adj = G.flat_adjacency
-    starts = sorted(G.flat_id(s) for s in sources)
-    terminals = {G.flat_id(t) for t in targets}
+    starts = sorted(sources)
+    terminals = set(targets)
     dist = {s: 0 for s in starts}
     parent = {}
     frontier = list(starts)
@@ -216,22 +239,22 @@ def reference_route(G, S, sources, targets, max_len, rng):
     while dist[x] > 0:
         x = parent[x]
         flat.append(x)
-    return tuple(G.vertex_at(x) for x in reversed(flat))
+    return tuple(reversed(flat))
 
 
 def random_routing_case(gen):
     """A small lift, a state with used edges, and disjoint endpoint pools."""
     n, ell = int(gen.integers(3, 9)), int(gen.integers(2, 11))
     G = sample_uniform_lift(complete_base(n), ell, seed=int(gen.integers(1 << 30)))
-    vertices = [VertexId(f, a) for f in range(n) for a in range(ell)]
+    vertices = list(range(n * ell))
     picked = [vertices[k] for k in gen.permutation(len(vertices))]
     k_src, k_dst = int(gen.integers(1, 5)), int(gen.integers(1, 6))
     sources, targets = picked[:k_src], picked[k_src:k_src + k_dst]
     extra = picked[k_src + k_dst:][:int(gen.integers(0, len(vertices) // 2))]
     in_s = set(sources + targets + extra)
     # commit some direct edges of S, first those joining the two pools
-    edges = [(u, v) for u in sources for v in G.neighbors(u) if v in targets]
-    edges += [(u, v) for u in extra for v in G.neighbors(u) if v in in_s]
+    edges = [(u, v) for u in sources for v in G.flat_adjacency[u] if v in targets]
+    edges += [(u, v) for u in extra for v in G.flat_adjacency[u] if v in in_s]
     used = [edges[k] for k in range(len(edges)) if gen.random() < 0.5]
     return G, sources, targets, list(in_s), used, int(gen.integers(1, 6))
 
@@ -239,7 +262,7 @@ def random_routing_case(gen):
 def make_state(G, vertices, used):
     S = EmbeddingState(G, vertices)
     for u, v in used:
-        if (G.flat_id(u), G.flat_id(v)) not in S.used_edges:
+        if (u, v) not in S.used_edges:
             S.add_path((u, v))
     return S
 
@@ -270,5 +293,5 @@ def test_connect_matches_full_depth_reference():
                  else "depth_1" if len(path) == 2 else "depth_2_plus"] += 1
         seen["forbidden_direct_hop"] += any(u in sources and v in targets for u, v in used)
         seen["terminal_next_to_terminal"] += any(
-            w in targets for t in targets for w in G.neighbors(t))
+            w in targets for t in targets for w in G.flat_adjacency[t])
     assert all(count >= 20 for count in seen.values()), seen

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from liftsub import (BaseGraph, LiftFormatError, LiftGraph, VertexId, complete_base,
-                     deserialize, lifts, sample_uniform_lift, serialize)
+from liftsub import (BaseGraph, BuildConfig, LiftFormatError, LiftGraph, SimpleGraph,
+                     SubdivisionCertificate, VertexId, complete_base, deserialize,
+                     derive_rng, estimate_avoidance_probability, exact_avoidance_probability,
+                     lifts, sample_uniform_lift, serialize)
 
 SAMPLER_BASES = [complete_base(6), BaseGraph(7, ((0, 3), (1, 2), (2, 6), (4, 5)))]
 
@@ -88,6 +90,22 @@ def test_out_of_range_vertex_rejected():
         G.neighbors(VertexId(3, 0))
     with pytest.raises(ValueError):
         G.is_edge(VertexId(0, 0), VertexId(0, 2))
+
+
+@pytest.mark.parametrize("v, error", [
+    ((3, 0), ValueError), ((0, 2), ValueError), ((-1, 0), ValueError), ((0, -1), ValueError),
+    ((0.5, 0), TypeError), ((0, 1.0), TypeError), ((True, 0), TypeError), ((0, False), TypeError),
+], ids=["fiber-high", "layer-high", "fiber-negative", "layer-negative",
+        "fiber-float", "layer-float", "fiber-bool", "layer-bool"])
+def test_flat_id_checks_outside_vertices(v, error):
+    # flat_id is where a VertexId from outside is checked; neighbors and
+    # is_edge go through it
+    G = sample_uniform_lift(complete_base(3), 2, seed=0)
+    assert G.flat_id(VertexId(2, 1)) == 5
+    assert G.flat_id(VertexId(np.int64(2), np.uint8(1))) == 5
+    for check in (G.flat_id, G.neighbors, lambda x: G.is_edge(VertexId(0, 0), x)):
+        with pytest.raises(error):
+            check(VertexId(*v))
 
 
 def test_fiber_structure_invariants():
@@ -260,6 +278,39 @@ def test_sampler_rejects_negative_seed():
 def test_constructors_accept_only_integers(make):
     with pytest.raises(TypeError, match="must be an integer"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LiftGraph(complete_base(2), 2, {(0, 1): (0.5, 1)}),
+    lambda: LiftGraph(complete_base(2), 2, {(0, 1): (True, False)}),
+    lambda: derive_rng(1.7),
+    lambda: derive_rng(True),
+    lambda: BuildConfig(seed=1.5),
+    lambda: BuildConfig(seed=True),
+    lambda: BuildConfig(attempts=2.5),
+    lambda: SubdivisionCertificate(branch=((0.5, 0),), paths={}),
+    lambda: SubdivisionCertificate(branch=((0, 0), (1, 0)), paths={(0, 1.0): ((0, 0), (1, 0))}),
+    lambda: SimpleGraph(3, ((0.5, 1),)),
+    lambda: SimpleGraph(3, ((True, 2),)),
+    lambda: estimate_avoidance_probability([(0.5, 1)], 3, trials=10),
+    lambda: exact_avoidance_probability([(0.5, 1)], 3),
+    lambda: sample_uniform_lift(complete_base(3), 2, 0).neighbors(VertexId(0.5, 0)),
+], ids=["matching-float", "matching-bool", "rng-float", "rng-bool", "config-seed-float",
+        "config-seed-bool", "config-attempts-float", "certificate-vertex-float",
+        "certificate-key-float", "simple-graph-float", "simple-graph-bool",
+        "estimate-pair-float", "exact-pair-float", "neighbors-float"])
+def test_public_constructors_do_not_truncate(make):
+    # a float or bool is refused, never truncated to an int
+    with pytest.raises(TypeError, match="integer"):
+        make()
+
+
+def test_numpy_integers_pass_the_integer_checks():
+    G = LiftGraph(complete_base(2), 2, {(np.int64(0), 1): np.array([1, 0])})
+    assert G.matchings == {(0, 1): (1, 0)} and type(G.matchings[(0, 1)][0]) is int
+    assert BuildConfig(seed=np.uint64(3), attempts=np.int32(2)) == BuildConfig(seed=3, attempts=2)
+    assert derive_rng(np.int64(4)).integers(1 << 30) == derive_rng(4).integers(1 << 30)
+    assert SimpleGraph(np.int64(3), ((np.int8(0), 2),)).edges == ((0, 2),)
 
 
 def test_numpy_integers_become_ints():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from liftsub import (BudgetExceededError, VertexId, check_expansion_into, check_joined,
+from liftsub import (BudgetExceededError, check_expansion_into, check_joined,
                      complete_base, estimate_avoidance_probability, find_cross_matching,
                      sample_uniform_lift)
 from liftsub.exact import exact_avoidance_probability
@@ -98,13 +98,21 @@ def test_expansion_rejects_bad_epsilon():
         check_expansion_into(G, list(G.vertex_ids()), epsilon=0.7)
 
 
+# cross-matchings take transversals of flat ids, fiber*ell + layer
+
+
+def flat_is_edge(G, u, v):
+    """The lift's own edge test on two flat ids, read from the matchings."""
+    return G.is_edge(G.vertex_at(u), G.vertex_at(v))
+
+
 def test_cross_matching_two_transversals():
     G = sample_uniform_lift(complete_base(4), 6, seed=2)
-    T1 = [VertexId(f, 0) for f in range(4)]
-    T2 = [VertexId(f, 1) for f in range(4)]
+    T1 = [f * 6 for f in range(4)]  # layer 0 of every fiber
+    T2 = [f * 6 + 1 for f in range(4)]  # layer 1
     M = find_cross_matching(G, [T1, T2])
     has_cross_edge = any(
-        G.is_edge(u, v) for u in T1 for v in T2 if u.fiber != v.fiber)
+        flat_is_edge(G, u, v) for u in T1 for v in T2 if u // 6 != v // 6)
     assert ((0, 1) in M.covered_pairs) == has_cross_edge
 
 
@@ -113,8 +121,8 @@ def test_cross_matching_no_edges():
     # with no crossing edges between them
     G = sample_uniform_lift(complete_base(2), 4, seed=0)
     perm = G.matchings[(0, 1)]
-    T1 = [VertexId(0, 0), VertexId(1, perm[1])]
-    T2 = [VertexId(0, 2), VertexId(1, perm[3])]
+    T1 = [0, 4 + perm[1]]  # (0,0) and (1,perm[1])
+    T2 = [2, 4 + perm[3]]  # (0,2) and (1,perm[3])
     M = find_cross_matching(G, [T1, T2])
     assert M.covered_pairs == frozenset() and M.edges == frozenset()
 
@@ -122,13 +130,12 @@ def test_cross_matching_no_edges():
 def _assert_cross_matching_contract(G, transversals, M):
     seen = set()
     for (i, j), (u, v) in M.by_pair.items():
-        assert G.is_edge(u, v)
+        assert flat_is_edge(G, u, v)
         assert u not in seen and v not in seen
         seen.add(u)
         seen.add(v)
-        side_i = {x for x in transversals[i]}
-        side_j = {x for x in transversals[j]}
-        assert (u in side_i and v in side_j) or (u in side_j and v in side_i)
+        # ordered: the first vertex lies in transversal i, the second in j
+        assert u in transversals[i] and v in transversals[j]
     # greedy maximality: no addable edge covering an uncovered pair
     for i, j in combinations(range(len(transversals)), 2):
         if (i, j) in M.covered_pairs:
@@ -139,23 +146,31 @@ def _assert_cross_matching_contract(G, transversals, M):
             for v in transversals[j]:
                 if v in seen:
                     continue
-                assert not G.is_edge(u, v), f"addable edge {u}-{v} for pair {(i, j)}"
+                assert not flat_is_edge(G, u, v), f"addable edge {u}-{v} for pair {(i, j)}"
 
 
 def test_cross_matching_maximality_and_disjointness():
     cases = [(8, 10, 4, seed) for seed in range(5)] + [(16, 24, 12, 11)]
     for n, ell, k, seed in cases:
         G = sample_uniform_lift(complete_base(n), ell, seed=seed)
-        transversals = [[VertexId(f, t) for f in range(n)] for t in range(k)]
+        transversals = [[f * ell + t for f in range(n)] for t in range(k)]
         M = find_cross_matching(G, transversals)
         _assert_cross_matching_contract(G, transversals, M)
 
 
 def test_cross_matching_rejects_overlap():
     G = sample_uniform_lift(complete_base(3), 2, seed=0)
-    T = [VertexId(f, 0) for f in range(3)]
+    T = [f * 2 for f in range(3)]
     with pytest.raises(ValueError):
         find_cross_matching(G, [T, T])
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_cross_matching_rejects_ids_outside_the_lift(bad):
+    # N = 6; -1 would otherwise read the last adjacency row
+    G = sample_uniform_lift(complete_base(3), 2, seed=0)
+    with pytest.raises(ValueError, match="out of range"):
+        find_cross_matching(G, [[0, 2, 4], [bad, 3, 5]])
 
 
 def test_expansion_sampled_report_at_scale():
@@ -173,7 +188,7 @@ def test_cross_matching_coverage_fraction_at_scale():
     # desk-scale analogue of the almost-all-pairs-covered phenomenon
     n, ell = 20, 24
     G = sample_uniform_lift(complete_base(n), ell, seed=7)
-    transversals = [[VertexId(f, t) for f in range(n)] for t in range(n)]
+    transversals = [[f * ell + t for f in range(n)] for t in range(n)]
     M = find_cross_matching(G, transversals)
     total = math.comb(n, 2)
     covered = len(M.covered_pairs)
