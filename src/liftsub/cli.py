@@ -282,6 +282,16 @@ class SweepConfig:
         # than let the flag mean different things in the two modes
         if self.time_budget is not None and self.workers > 1:
             raise ValueError("--time-budget cannot be combined with --workers > 1")
+        # the grid, as complete_base, sample_uniform_lift and the builders
+        # would check it in every trial
+        for n, ell in self.cells():
+            if n < 1:
+                raise ValueError(f"--n-list values must be >= 1, got {n}")
+            if ell < 1:
+                raise ValueError(f"--ell-list values must be >= 1, got {ell}")
+            # at ell = 1, --builder auto picks the small builder
+            if ell < 2 and self.builder != "large":
+                raise ValueError(f"--builder {self.builder} needs every ell >= 2, got {ell}")
 
     def cells(self) -> list[tuple[int, int]]:
         return [(n, ell) for n in self.n_values for ell in self.ell_for[n]]

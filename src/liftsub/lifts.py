@@ -1,9 +1,11 @@
 """Base graphs, uniform random lifts, and canonical (de)serialization.
 
 A lift replaces every base vertex with a fiber of ``ell`` vertices and every
-base edge with a perfect matching between the two fibers.  The matching for
-base edge (i, j) with i < j is stored as a permutation of [0, ell): layer a
-in fiber i is matched to layer perm[a] in fiber j.
+base edge with a perfect matching between the two fibers.  A lift stores all
+of them in one (E, ell) integer array: row e is the permutation of base edge
+(i, j) = base.edges[e], i < j, and layer a in fiber i is matched to layer
+row[a] in fiber j.  The sampler writes that array, the file format reads and
+writes it, and the neighbour index is built from it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -68,7 +70,9 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """A simple undirected graph given by a sorted, duplicate-free edge list."""
+    """A simple undirected graph given by a sorted, duplicate-free edge list.
+
+    Row e of a lift's `matchings` array belongs to `edges[e]`."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -77,22 +81,79 @@ class BaseGraph:
         n = _integer(self.num_vertices, "num_vertices")
         if n < 1:
             raise ValueError("base graph needs at least one vertex")
-        normalized = tuple((_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
-                           for i, j in self.edges)
-        for i, j in normalized:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) endpoint out of range [0,{n})")
-            if i >= j:
-                raise ValueError(f"edge ({i},{j}) must satisfy i < j (no loops)")
-        if any(a >= b for a, b in zip(normalized, normalized[1:])):
-            raise ValueError("edge list must be sorted and duplicate-free")
+        edges = tuple(self.edges)
+        if not _plain_edges(edges, n):
+            edges = _checked_edges(edges, n)
         object.__setattr__(self, "num_vertices", n)
-        object.__setattr__(self, "edges", normalized)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def is_complete(self) -> bool:
         n = self.num_vertices
         return len(self.edges) == n * (n - 1) // 2
+
+    def edge_index(self, i: int, j: int) -> int | None:
+        """The row of edge (i, j), i < j, in a lift's `matchings`; None if
+        (i, j) is not an edge."""
+        n = self.num_vertices
+        if self.is_complete:
+            # rows (0,1), (0,2), ..., (0,n-1), (1,2), ...
+            return i * (2 * n - i - 1) // 2 + j - i - 1 if 0 <= i < j < n else None
+        return self._edge_rows.get((i, j))
+
+    # lazily built views of the edge list; none is built at construction
+
+    @cached_property
+    def _edge_rows(self) -> dict[tuple[int, int], int]:
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def _endpoints(self) -> np.ndarray:
+        """The edges as an (E, 2) array."""
+        E = len(self.edges)
+        return np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                           count=2 * E).reshape(E, 2)
+
+    @cached_property
+    def _keys(self) -> list[str]:
+        """The file format's key 'i-j' of every edge, in row order."""
+        return [f"{i}-{j}" for i, j in self.edges]
+
+    @cached_property
+    def _file_layout(self) -> tuple[np.ndarray, list[str], str]:
+        """What `serialize` takes from the base: the rows in the file's key
+        order (keys sorted as strings, so '0-10' comes before '0-2'), the text
+        '"i-j":[' that opens each of those rows, and the base_edges text."""
+        keys = self._keys
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return (np.array(order, dtype=np.intp), [f'"{keys[e]}":[' for e in order],
+                json.dumps(self.edges, separators=(",", ":")))
+
+
+def _plain_edges(edges: tuple, n: int) -> bool:
+    """True iff every edge is a tuple (i, j) of ints with 0 <= i < j < n and
+    the edges strictly increase.  Each condition is one scan in C."""
+    if not (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {2}):
+        return False
+    ends = list(chain.from_iterable(edges))
+    return (set(map(type, ends)) <= {int}
+            and min(ends, default=0) >= 0 and max(ends, default=0) < n
+            and all(map(operator.lt, ends[::2], ends[1::2]))
+            and all(map(operator.lt, edges, edges[1:])))
+
+
+def _checked_edges(edges: tuple, n: int) -> tuple[tuple[int, int], ...]:
+    """The edges with every endpoint made an int; raises at the first fault."""
+    normalized = tuple((_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
+                       for i, j in edges)
+    for i, j in normalized:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) endpoint out of range [0,{n})")
+        if i >= j:
+            raise ValueError(f"edge ({i},{j}) must satisfy i < j (no loops)")
+    if any(a >= b for a, b in zip(normalized, normalized[1:])):
+        raise ValueError("edge list must be sorted and duplicate-free")
+    return normalized
 
 
 def complete_base(n: int) -> BaseGraph:
@@ -104,13 +165,19 @@ def complete_base(n: int) -> BaseGraph:
     return BaseGraph(n, edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftGraph:
-    """An ell-lift of a base graph.  Immutable after construction."""
+    """An ell-lift of a base graph.  Immutable after construction.
+
+    `matchings` is a read-only (E, ell) integer array: row e is the
+    permutation of base edge `base.edges[e]` = (i, j), i < j, and layer a in
+    fiber i is matched to layer matchings[e, a] in fiber j.  The constructor
+    also takes a mapping {(i, j): permutation} and makes the array from it.
+    """
 
     base: BaseGraph
     ell: int
-    matchings: Mapping[tuple[int, int], tuple[int, ...]]
+    matchings: np.ndarray
 
     def __post_init__(self):
         # The one validation of a lift's matchings.  Messages name edges as
@@ -118,28 +185,37 @@ class LiftGraph:
         ell = _integer(self.ell, "ell")
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        edge_set = set(self.base.edges)
-        identity = list(range(ell))
-        normalized: dict[tuple[int, int], tuple[int, ...]] = {}
-        for key, perm in self.matchings.items():
-            i, j = e = (_integer(key[0], "edge endpoint"), _integer(key[1], "edge endpoint"))
-            if e not in edge_set:
-                raise ValueError(f"matching key {i}-{j} is not a base edge")
-            if e in normalized:
-                raise ValueError(f"matching key {i}-{j} given twice")
-            p = tuple(map(operator.index, perm))
-            if sorted(p) != identity:
-                raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{ell})")
-            normalized[e] = p
-        missing = edge_set - normalized.keys()
-        if missing:
-            i, j = min(missing)
-            raise ValueError(f"matching missing for base edge {i}-{j}")
-        # operator.index reads booleans as 0 and 1; one scan refuses them
-        if bool in map(type, chain.from_iterable(self.matchings.values())):
-            raise TypeError("matching entries must be integers, got a boolean")
+        m = self.matchings
+        if isinstance(m, Mapping):
+            rows = _mapping_rows(self.base, ell, m)
+        elif isinstance(m, np.ndarray):
+            rows = _array_rows(self.base, ell, m)
+        else:
+            raise TypeError("matchings must be an (E, ell) integer array or a mapping "
+                            f"from base edges to permutations, got {type(m).__name__}")
+        rows.flags.writeable = False
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "matchings", normalized)
+        object.__setattr__(self, "matchings", rows)
+
+    @classmethod
+    def _of_permutations(cls, base: BaseGraph, ell: int, rows: np.ndarray) -> "LiftGraph":
+        """The lift of an (E, ell) intp array whose rows are permutations by
+        construction, without the validation pass."""
+        G = object.__new__(cls)
+        rows.flags.writeable = False
+        object.__setattr__(G, "base", base)
+        object.__setattr__(G, "ell", ell)
+        object.__setattr__(G, "matchings", rows)
+        return G
+
+    def __eq__(self, other):
+        if not isinstance(other, LiftGraph):
+            return NotImplemented
+        return (self.ell == other.ell and self.base == other.base
+                and np.array_equal(self.matchings, other.matchings))
+
+    def __hash__(self):
+        return hash((self.base, self.ell, self.matchings.tobytes()))
 
     @property
     def num_vertices(self) -> int:
@@ -149,19 +225,29 @@ class LiftGraph:
     def flat_adjacency(self) -> list[list[int]]:
         """Sorted neighbor lists indexed by flat vertex id (fiber*ell + layer).
 
-        The one neighbor index derived from `matchings`: a vertex has one
-        neighbor per base edge at its fiber, so the list holds them in
-        ascending fiber order."""
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        ell = self.ell
-        for (i, j), perm in self.matchings.items():
-            oi, oj = i * ell, j * ell
-            for a, b in enumerate(perm):
-                adj[oi + a].append(oj + b)
-                adj[oj + b].append(oi + a)
-        for lst in adj:
-            lst.sort()
-        return adj
+        The one neighbor index, derived from `matchings` on first use: a
+        vertex has one neighbor per base edge at its fiber, so the list holds
+        them in ascending fiber order."""
+        base, ell = self.base, self.ell
+        ends = base._endpoints
+        low = ends[:, :1] * ell + np.arange(ell)    # fiber i's side of each pair
+        high = ends[:, 1:] * ell + self.matchings   # fiber j's side
+        if base.is_complete:
+            # vertex (f, a) keeps its neighbor in fiber g at column g - (g > f)
+            adj = np.empty((self.num_vertices, base.num_vertices - 1), dtype=np.intp)
+            adj[low, ends[:, 1:] - 1] = high
+            adj[high, ends[:, :1]] = low
+            return adj.tolist()
+        src = np.concatenate((low.ravel(), high.ravel()))
+        dst = np.concatenate((high.ravel(), low.ravel()))
+        flat = dst[np.lexsort((dst, src))].tolist()
+        stops = np.cumsum(np.bincount(src, minlength=self.num_vertices)).tolist()
+        return [flat[a:b] for a, b in zip([0] + stops, stops)]
+
+    @cached_property
+    def _matched_layer(self) -> list[int]:
+        """`matchings` as one flat list: row e, layer a at e*ell + a."""
+        return self.matchings.ravel().tolist()
 
     def flat_id(self, v: VertexId) -> int:
         """v's flat id fiber*ell + layer.  The one check of a vertex given from
@@ -181,18 +267,59 @@ class LiftGraph:
             for a in range(self.ell):
                 yield VertexId(f, a)
 
-    def neighbors(self, v: VertexId) -> set[VertexId]:
-        """The neighbors of v: exactly one per base edge incident to v's fiber."""
-        return {self.vertex_at(w) for w in self.flat_adjacency[self.flat_id(v)]}
-
     def is_edge(self, u: VertexId, v: VertexId) -> bool:
-        """True iff u and v are matched under the relevant base-edge permutation."""
-        i, a = divmod(self.flat_id(u), self.ell)
-        j, b = divmod(self.flat_id(v), self.ell)
+        """True iff u and v are matched under the relevant base-edge permutation.
+
+        Reads `matchings`, never `flat_adjacency`: the certificate verifier
+        checks edges here, apart from the index the builders search."""
+        ell = self.ell
+        i, a = divmod(self.flat_id(u), ell)
+        j, b = divmod(self.flat_id(v), ell)
         if i > j:
             i, a, j, b = j, b, i, a
-        perm = self.matchings.get((i, j))  # None within a fiber
-        return perm is not None and perm[a] == b
+        e = self.base.edge_index(i, j)  # None within a fiber
+        return e is not None and self._matched_layer[e * ell + a] == b
+
+
+def _mapping_rows(base: BaseGraph, ell: int, matchings: Mapping) -> np.ndarray:
+    """The (E, ell) array of a mapping {(i, j): permutation}."""
+    rows: list = [None] * len(base.edges)
+    identity = list(range(ell))
+    for key, perm in matchings.items():
+        i, j = _integer(key[0], "edge endpoint"), _integer(key[1], "edge endpoint")
+        e = base.edge_index(i, j)
+        if e is None:
+            raise ValueError(f"matching key {i}-{j} is not a base edge")
+        if rows[e] is not None:
+            raise ValueError(f"matching key {i}-{j} given twice")
+        p = list(map(operator.index, perm))
+        if sorted(p) != identity:
+            raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{ell})")
+        rows[e] = p
+    if None in rows:
+        i, j = base.edges[rows.index(None)]
+        raise ValueError(f"matching missing for base edge {i}-{j}")
+    # operator.index reads booleans as 0 and 1; one scan refuses them
+    if bool in map(type, chain.from_iterable(matchings.values())):
+        raise TypeError("matching entries must be integers, got a boolean")
+    return np.array(rows, dtype=np.intp).reshape(len(rows), ell)
+
+
+def _array_rows(base: BaseGraph, ell: int, m: np.ndarray) -> np.ndarray:
+    """A copy of an (E, ell) integer array as intp, checked in one pass."""
+    if m.dtype == bool:
+        raise TypeError("matching entries must be integers, got a boolean")
+    if m.dtype.kind not in "iu":
+        raise TypeError(f"matching entries must be integers, got {m.dtype}")
+    E = len(base.edges)
+    if m.shape != (E, ell):
+        raise ValueError(f"matchings must have shape (E, ell) = ({E}, {ell}), got {m.shape}")
+    rows = m.astype(np.intp)  # a copy, which the lift owns; uint64 above 2**63 wraps negative
+    bad = (np.sort(rows, axis=1) != np.arange(ell)).any(axis=1)
+    if bad.any():
+        i, j = base.edges[int(bad.argmax())]
+        raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{ell})")
+    return rows
 
 
 # --- keyed sampling ------------------------------------------------------------
@@ -264,14 +391,18 @@ def sample_uniform_lift(base: BaseGraph, ell: int, seed: int) -> LiftGraph:
     layers = np.arange(ell, dtype=np.uint64)
     rows = max(1, _SAMPLE_KEYS // ell)
     edges = base.edges
-    matchings = {}
+    # each chunk's argsort is the chunk's rows of the matchings array
+    parts = []
     for start in range(0, len(edges), rows):
         chunk = edges[start:start + rows]
         edge_hash = _absorb_array(np.array([fiber[i] ^ j for i, j in chunk], dtype=np.uint64))
         keys = _absorb_array(edge_hash[:, None] ^ layers)
-        # one list per edge; LiftGraph makes the tuples
-        matchings.update(zip(chunk, keys.argsort(kind="stable").tolist()))
-    return LiftGraph(base, ell, matchings)
+        parts.append(keys.argsort(kind="stable"))
+    if len(parts) == 1:
+        matchings = parts[0]
+    else:
+        matchings = np.concatenate(parts) if parts else np.empty((0, ell), dtype=np.intp)
+    return LiftGraph._of_permutations(base, ell, matchings)
 
 
 # --- canonical text format ---------------------------------------------------
@@ -282,13 +413,15 @@ def sample_uniform_lift(base: BaseGraph, ell: int, seed: int) -> LiftGraph:
 
 def serialize(G: LiftGraph) -> bytes:
     """The canonical format as UTF-8 bytes with a trailing newline."""
-    obj = {
-        "n": G.base.num_vertices,
-        "ell": G.ell,
-        "base_edges": [[i, j] for i, j in G.base.edges],
-        "matchings": {f"{i}-{j}": list(perm) for (i, j), perm in G.matchings.items()},
-    }
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    base = G.base
+    order, openers, edges_text = base._file_layout
+    # one '"i-j":[%d,..,%d]' per row in key order, filled from one flat list
+    # of ints: no list per row is made
+    row = ",".join(["%d"] * G.ell) + "]"
+    body = ",".join(map(operator.add, openers, repeat(row))) % tuple(
+        G.matchings[order].ravel().tolist())
+    return (f'{{"base_edges":{edges_text},"ell":{G.ell},"matchings":{{{body}}},'
+            f'"n":{base.num_vertices}}}\n').encode("utf-8")
 
 
 def _json_object(data: str | bytes, error: type[ValueError]) -> dict:
@@ -327,6 +460,16 @@ def _pair_key(key: str) -> tuple[int, int] | None:
     return (i, j) if key == f"{i}-{j}" and min(i, j) >= 0 else None
 
 
+def _flat_ints(rows: list, width: int) -> list[int] | None:
+    """The entries of `rows`, row after row, if every row is a list of
+    `width` ints, booleans excluded (JSON true/false decode to bool, a
+    subclass of int); else None.  Each condition is one scan in C."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        return None
+    flat = list(chain.from_iterable(rows))
+    return flat if set(map(type, flat)) <= {int} else None
+
+
 def deserialize(data: bytes | str) -> LiftGraph:
     """Parse the canonical format.  This checks JSON shape and types only;
     BaseGraph and LiftGraph check the edges and matchings, once."""
@@ -340,21 +483,30 @@ def deserialize(data: bytes | str) -> LiftGraph:
         raise LiftFormatError("field 'n' must be a positive integer")
     if type(ell) is not int or ell < 1:
         raise LiftFormatError("field 'ell' must be a positive integer")
-    if not isinstance(obj["base_edges"], list):
+    raw_edges = obj["base_edges"]
+    if not isinstance(raw_edges, list):
         raise LiftFormatError("field 'base_edges' must be an array")
-    edges = []
-    for k, pair in enumerate(obj["base_edges"]):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and type(pair[0]) is int and type(pair[1]) is int):
-            raise LiftFormatError(f"base_edges[{k}] must be a pair of integers")
-        edges.append((pair[0], pair[1]))
+    ends = _flat_ints(raw_edges, 2)
+    if ends is None:  # name the first pair that is not two integers
+        for k, pair in enumerate(raw_edges):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise LiftFormatError(f"base_edges[{k}] must be a pair of integers")
     try:
-        base = BaseGraph(n, tuple(edges))
+        base = BaseGraph(n, tuple(zip(ends[::2], ends[1::2])))
     except ValueError as exc:
         raise LiftFormatError(f"base_edges invalid: {exc}") from None
     raw = obj["matchings"]
     if not isinstance(raw, dict):
         raise LiftFormatError("field 'matchings' must be an object")
+    # fast path: exactly the E canonical keys, each an array of ell ints
+    rows = list(map(raw.get, base._keys))
+    entries = _flat_ints(rows, ell) if len(raw) == len(rows) else None
+    if entries is not None:
+        try:
+            return LiftGraph(base, ell, np.array(entries, dtype=np.intp).reshape(len(rows), ell))
+        except (OverflowError, ValueError):
+            pass  # the walk below names the fault by key, in file order
     matchings: dict[tuple[int, int], list[int]] = {}
     for key, perm in raw.items():
         e = _pair_key(key)

@@ -46,12 +46,11 @@ def test_criterion_1_structural_invariants():
             violations += 1
             continue
         ok = True
-        for v in G.vertex_ids():
-            nbrs = G.neighbors(v)
-            fibers = [w.fiber for w in nbrs]
+        for v, nbrs in enumerate(G.flat_adjacency):
+            fibers = [w // ell for w in nbrs]
             if len(nbrs) != n - 1:          # (n-1)-regular
                 ok = False
-            if v.fiber in fibers:           # fibers independent, no loops
+            if v // ell in fibers:          # fibers independent, no loops
                 ok = False
             if len(set(fibers)) != len(fibers):  # perfect matchings fiberwise
                 ok = False
@@ -73,7 +72,7 @@ def test_criterion_2_sampler_uniformity():
     counts: dict[tuple, int] = {}
     for seed in range(60000):
         G = sample_uniform_lift(base, 3, seed=seed)
-        p = G.matchings[(0, 1)]
+        p = tuple(G.matchings[0].tolist())  # row 0 is base edge (0, 1)
         counts[p] = counts.get(p, 0) + 1
     elapsed = time.monotonic() - t0
     observed = [counts.get(p, 0) for p in permutations(range(3))]

@@ -285,3 +285,15 @@ def test_sweep_rejects_bad_values_before_writing(tmp_path, monkeypatch, capsys, 
                 "--builder", "large", flag, value, "-o", out]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, flag", [
+    (["--n-list", 5, "--ell-list", 0], "--ell-list"),
+    (["--n-list", 0, "--ell-list", 3], "--n-list"),
+    (["--n-list", 5, "--ell-list", 1, "--builder", "small"], "--builder"),
+], ids=["ell-zero", "n-zero", "small-builder-ell-one"])
+def test_sweep_rejects_bad_grid_before_writing(tmp_path, capsys, grid, flag):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *grid, "--trials", 1, "-o", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -98,9 +98,9 @@ def test_connect_respects_max_len():
 def test_connect_failure_leaves_state_bit_identical():
     G = sample_uniform_lift(complete_base(2), 3, seed=0)  # a bare matching
     a = 0  # (0,0); fiber 1 starts at flat id 3
-    matched = G.matchings[(0, 1)][0]
-    b = 3 + (matched + 1) % 3
-    c, d = 2, 3 + G.matchings[(0, 1)][2]
+    perm = G.matchings[0].tolist()  # row 0 is base edge (0, 1)
+    b = 3 + (perm[0] + 1) % 3
+    c, d = 2, 3 + perm[2]
     S = EmbeddingState(G, [a, b, c, d])
     S.add_path((c, d))  # a used edge, so the snapshot covers both sets
     before = snapshot(S)

@@ -52,7 +52,7 @@ def test_sampling_is_deterministic():
 
 def test_one_lift_is_the_base():
     G = sample_uniform_lift(complete_base(3), 1, seed=0)
-    assert G.neighbors(VertexId(0, 0)) == {VertexId(1, 0), VertexId(2, 0)}
+    assert G.flat_adjacency[G.flat_id(VertexId(0, 0))] == [1, 2]
     flat_edges = {(u, w) for u, nbrs in enumerate(G.flat_adjacency) for w in nbrs if u < w}
     assert flat_edges == set(G.base.edges)
 
@@ -60,19 +60,20 @@ def test_one_lift_is_the_base():
 def test_k4_ell5_shape():
     G = sample_uniform_lift(complete_base(4), 5, seed=1)
     assert G.num_vertices == 20
-    degrees = [len(G.neighbors(v)) for v in G.vertex_ids()]
+    degrees = [len(nbrs) for nbrs in G.flat_adjacency]
     assert degrees == [3] * 20
     edge_count = sum(len(nbrs) for nbrs in G.flat_adjacency) // 2
     assert edge_count == 30
 
 
 def test_neighbors_cross_checks_is_edge():
-    # neighbors reads flat_adjacency, is_edge reads matchings
+    # flat_adjacency is scattered from the matchings array, is_edge reads one
+    # entry of it
     for base, ell in [(complete_base(4), 3), (SAMPLER_BASES[1], 3), (complete_base(5), 7)]:
         G = sample_uniform_lift(base, ell, seed=9)
         vertices = list(G.vertex_ids())
         for u in vertices:
-            nbrs = G.neighbors(u)
+            nbrs = {G.vertex_at(w) for w in G.flat_adjacency[G.flat_id(u)]}
             for v in vertices:
                 assert G.is_edge(u, v) == (v in nbrs)
                 assert G.is_edge(u, v) == G.is_edge(v, u)
@@ -87,7 +88,7 @@ def test_is_edge_same_fiber_and_self():
 def test_out_of_range_vertex_rejected():
     G = sample_uniform_lift(complete_base(3), 2, seed=0)
     with pytest.raises(ValueError):
-        G.neighbors(VertexId(3, 0))
+        G.flat_id(VertexId(3, 0))
     with pytest.raises(ValueError):
         G.is_edge(VertexId(0, 0), VertexId(0, 2))
 
@@ -98,12 +99,13 @@ def test_out_of_range_vertex_rejected():
 ], ids=["fiber-high", "layer-high", "fiber-negative", "layer-negative",
         "fiber-float", "layer-float", "fiber-bool", "layer-bool"])
 def test_flat_id_checks_outside_vertices(v, error):
-    # flat_id is where a VertexId from outside is checked; neighbors and
-    # is_edge go through it
+    # flat_id is where a VertexId from outside is checked; is_edge goes
+    # through it for both of its vertices
     G = sample_uniform_lift(complete_base(3), 2, seed=0)
     assert G.flat_id(VertexId(2, 1)) == 5
     assert G.flat_id(VertexId(np.int64(2), np.uint8(1))) == 5
-    for check in (G.flat_id, G.neighbors, lambda x: G.is_edge(VertexId(0, 0), x)):
+    for check in (G.flat_id, lambda x: G.is_edge(x, VertexId(0, 0)),
+                  lambda x: G.is_edge(VertexId(0, 0), x)):
         with pytest.raises(error):
             check(VertexId(*v))
 
@@ -112,7 +114,7 @@ def test_fiber_structure_invariants():
     for seed in range(10):
         G = sample_uniform_lift(complete_base(5), 4, seed=seed)
         for v in G.vertex_ids():
-            fibers = [w.fiber for w in G.neighbors(v)]
+            fibers = [w // 4 for w in G.flat_adjacency[G.flat_id(v)]]
             assert v.fiber not in fibers
             assert len(set(fibers)) == len(fibers) == 4
 
@@ -123,6 +125,117 @@ def test_serialization_roundtrip_and_stability():
     G2 = deserialize(data)
     assert G2 == G
     assert serialize(G2) == data
+
+
+def reference_serialize(G):
+    """The file format written the plain way: one dict, json.dumps sorts the keys."""
+    obj = {"n": G.base.num_vertices, "ell": G.ell,
+           "base_edges": [[i, j] for i, j in G.base.edges],
+           "matchings": {f"{i}-{j}": perm for (i, j), perm in zip(G.base.edges, G.matchings.tolist())}}
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+SPARSE = BaseGraph(14, ((0, 3), (0, 12), (1, 2), (2, 6), (2, 10), (4, 5), (9, 11), (10, 13)))
+
+
+@pytest.mark.parametrize("base, ell, seed", [
+    (complete_base(12), 5, 1), (complete_base(101), 3, 2**64 + 5), (SPARSE, 4, 9),
+], ids=["K12", "K101", "sparse"])
+def test_serialize_round_trip_is_byte_identical(base, ell, seed):
+    G = sample_uniform_lift(base, ell, seed)
+    data = serialize(G)
+    # the file lists keys as sorted strings, '0-10' before '0-2', not in row order
+    assert list(json.loads(data)["matchings"]) != [f"{i}-{j}" for i, j in base.edges]
+    assert data == reference_serialize(G)
+    G2 = deserialize(data)
+    assert G2 == G and G2.matchings.tolist() == G.matchings.tolist()
+    assert serialize(G2) == data
+
+
+def reference_adjacency(G):
+    """Neighbour lists built one matched pair at a time from the rows."""
+    adj = [[] for _ in range(G.num_vertices)]
+    for (i, j), perm in zip(G.base.edges, G.matchings.tolist()):
+        for a, b in enumerate(perm):
+            adj[i * G.ell + a].append(j * G.ell + b)
+            adj[j * G.ell + b].append(i * G.ell + a)
+    return [sorted(row) for row in adj]
+
+
+@pytest.mark.parametrize("base, ell", [
+    (complete_base(1), 3), (complete_base(2), 1), (complete_base(7), 5), (SPARSE, 3),
+    (BaseGraph(3, ()), 2),
+], ids=["K1", "K2-ell1", "K7", "sparse", "edgeless"])
+def test_flat_adjacency_matches_the_loop_reference(base, ell):
+    G = sample_uniform_lift(base, ell, seed=4)
+    assert G.flat_adjacency == reference_adjacency(G)
+
+
+def test_is_edge_on_a_sparse_base():
+    G = sample_uniform_lift(SPARSE, 4, seed=2)
+    assert SPARSE.edge_index(0, 1) is None and SPARSE.edge_index(0, 12) == 1
+    # fibers 0 and 1 share no base edge
+    assert not any(G.is_edge(VertexId(0, a), VertexId(1, b)) for a in range(4) for b in range(4))
+    row = G.matchings[SPARSE.edge_index(0, 12)].tolist()
+    assert G.is_edge(VertexId(12, row[3]), VertexId(0, 3))
+    with pytest.raises(ValueError):
+        G.is_edge(VertexId(0, 0), VertexId(14, 0))
+    with pytest.raises(ValueError):
+        G.is_edge(VertexId(0, 4), VertexId(3, 0))
+
+
+def test_equal_lifts_compare_and_hash_equal():
+    base = complete_base(5)
+    G = sample_uniform_lift(base, 4, seed=3)
+    same = [sample_uniform_lift(complete_base(5), 4, seed=3), deserialize(serialize(G)),
+            LiftGraph(base, 4, G.matchings.copy()),
+            LiftGraph(base, 4, dict(zip(base.edges, G.matchings.tolist())))]
+    for H in same:
+        assert H == G and hash(H) == hash(G)
+    assert len({G, *same}) == 1
+    other = sample_uniform_lift(base, 4, seed=4)
+    assert other != G and G != "not a lift"
+    with pytest.raises(ValueError):  # read-only, so the hash cannot go stale
+        G.matchings[0, 0] = G.matchings[0, 1]
+
+
+GOOD_ROWS = {(0, 1): (0, 1), (0, 2): (1, 0), (1, 2): (0, 1)}
+
+
+class Zero:
+    """An index that is 0 but no dict key equal to 0: a second key for (0, 2)."""
+
+    def __index__(self):
+        return 0
+
+
+@pytest.mark.parametrize("as_dict, as_array, error, fragment", [
+    ({**GOOD_ROWS, (0, 2): (True, False)}, np.array([[0, 1], [1, 0], [0, 1]], dtype=bool),
+     TypeError, "integers, got a boolean"),
+    ({**GOOD_ROWS, (0, 2): (1.0, 0.0)}, np.array([[0, 1], [1, 0], [0, 1]], dtype=float),
+     TypeError, "integer"),
+    ({**GOOD_ROWS, (0, 2): (1, 1)}, np.array([[0, 1], [1, 1], [0, 1]]),
+     ValueError, "edge 0-2 is not a bijection"),
+    ({**GOOD_ROWS, (0, 2): (1, 2)}, np.array([[0, 1], [1, 2], [0, 1]], dtype=np.uint8),
+     ValueError, "edge 0-2 is not a bijection"),
+    ({e: p for e, p in GOOD_ROWS.items() if e != (1, 2)}, np.array([[0, 1], [1, 0]]),
+     ValueError, None),
+    ({**GOOD_ROWS, (2, 3): (0, 1)}, np.array([[0, 1], [1, 0], [0, 1], [0, 1]]), ValueError, None),
+    ({**GOOD_ROWS, (Zero(), 2): (0, 1)}, np.array([[0, 1], [1, 0], [0, 1], [1, 0]]),
+     ValueError, None),
+], ids=["bool", "float", "not-bijection", "out-of-range", "missing", "extra", "duplicate"])
+def test_array_validation_matches_the_mapping_path(as_dict, as_array, error, fragment):
+    base = complete_base(3)
+    assert LiftGraph(base, 2, GOOD_ROWS) == LiftGraph(base, 2, np.array(list(GOOD_ROWS.values())))
+    with pytest.raises(error, match=fragment):
+        LiftGraph(base, 2, as_dict)
+    with pytest.raises(error, match=fragment):
+        LiftGraph(base, 2, as_array)
+
+
+def test_lift_graph_refuses_other_containers():
+    with pytest.raises(TypeError, match="array or a mapping"):
+        LiftGraph(complete_base(2), 2, [[1, 0]])
 
 
 def test_deserialize_rejects_non_bijection():
@@ -166,8 +279,8 @@ def test_general_base_graph_supported():
     path = BaseGraph(4, ((0, 1), (1, 2), (2, 3)))
     G = sample_uniform_lift(path, 3, seed=5)
     assert G.num_vertices == 12
-    assert len(G.neighbors(VertexId(0, 0))) == 1
-    assert len(G.neighbors(VertexId(1, 0))) == 2
+    assert len(G.flat_adjacency[G.flat_id(VertexId(0, 0))]) == 1
+    assert len(G.flat_adjacency[G.flat_id(VertexId(1, 0))]) == 2
 
 
 def reference_absorb(h, x):
@@ -199,9 +312,9 @@ def test_sampler_matches_derive_rng(base, ell, seed):
     The name and ids are kept from the earlier check against per-edge
     `derive_rng` streams, which the keyed map replaced."""
     G = sample_uniform_lift(base, ell, seed)
-    assert list(G.matchings) == list(base.edges)
-    for (i, j), perm in G.matchings.items():
-        assert perm == reference_matching(seed, i, j, ell)
+    assert G.matchings.shape == (len(base.edges), ell)
+    for (i, j), perm in zip(base.edges, G.matchings.tolist()):
+        assert tuple(perm) == reference_matching(seed, i, j, ell)
 
 
 @pytest.mark.parametrize("n, ell", [(12, 1000), (210, 3)])
@@ -214,7 +327,7 @@ def test_matching_depends_only_on_its_edge(n, ell):
     G = sample_uniform_lift(complete_base(n), ell, seed)
     for e in edges[::max(1, len(edges) // 300)] + edges[-1:]:
         alone = sample_uniform_lift(BaseGraph(n, (e,)), ell, seed)
-        assert alone.matchings[e] == G.matchings[e]
+        assert alone.matchings[0].tolist() == G.matchings[G.base.edge_index(*e)].tolist()
 
 
 def test_seed_bits_above_64_change_the_lift():
@@ -222,7 +335,7 @@ def test_seed_bits_above_64_change_the_lift():
     lifts_by_seed = [sample_uniform_lift(base, 80, seed).matchings
                      for seed in (5, 5 + 2**64, 5 + 2**100, 5 + 2**200)]
     for a, b in combinations(lifts_by_seed, 2):
-        assert a != b
+        assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n, ell, seed, digest", [
@@ -241,10 +354,12 @@ def test_matchings_are_uniform_across_edges():
     and the 36 joint permutations of the disjoint pairs (i, j), (i, j+1)."""
     G = sample_uniform_lift(complete_base(80), 3, seed=3160)
     cells = list(permutations(range(3)))
-    single = Counter(G.matchings.values())
+    perms = list(map(tuple, G.matchings.tolist()))
+    row = G.base.edge_index
+    single = Counter(perms)
     assert sum(single.values()) == 3160
     p_single = chisquare([single[c] for c in cells]).pvalue
-    pairs = Counter((G.matchings[(i, j)], G.matchings[(i, j + 1)])
+    pairs = Counter((perms[row(i, j)], perms[row(i, j + 1)])
                     for i in range(80) for j in range(i + 1, 79, 2))
     p_pairs = chisquare([pairs[(c, d)] for c in cells for d in cells]).pvalue
     print(f"per-edge p={p_single:.4f}, neighbour-pair p={p_pairs:.4f} over {sum(pairs.values())} pairs")
@@ -294,11 +409,11 @@ def test_constructors_accept_only_integers(make):
     lambda: SimpleGraph(3, ((True, 2),)),
     lambda: estimate_avoidance_probability([(0.5, 1)], 3, trials=10),
     lambda: exact_avoidance_probability([(0.5, 1)], 3),
-    lambda: sample_uniform_lift(complete_base(3), 2, 0).neighbors(VertexId(0.5, 0)),
+    lambda: sample_uniform_lift(complete_base(3), 2, 0).is_edge(VertexId(0.5, 0), VertexId(1, 0)),
 ], ids=["matching-float", "matching-bool", "rng-float", "rng-bool", "config-seed-float",
         "config-seed-bool", "config-attempts-float", "certificate-vertex-float",
         "certificate-key-float", "simple-graph-float", "simple-graph-bool",
-        "estimate-pair-float", "exact-pair-float", "neighbors-float"])
+        "estimate-pair-float", "exact-pair-float", "is-edge-float"])
 def test_public_constructors_do_not_truncate(make):
     # a float or bool is refused, never truncated to an int
     with pytest.raises(TypeError, match="integer"):
@@ -307,7 +422,7 @@ def test_public_constructors_do_not_truncate(make):
 
 def test_numpy_integers_pass_the_integer_checks():
     G = LiftGraph(complete_base(2), 2, {(np.int64(0), 1): np.array([1, 0])})
-    assert G.matchings == {(0, 1): (1, 0)} and type(G.matchings[(0, 1)][0]) is int
+    assert G.matchings.tolist() == [[1, 0]] and G.matchings.dtype == np.intp
     assert BuildConfig(seed=np.uint64(3), attempts=np.int32(2)) == BuildConfig(seed=3, attempts=2)
     assert derive_rng(np.int64(4)).integers(1 << 30) == derive_rng(4).integers(1 << 30)
     assert SimpleGraph(np.int64(3), ((np.int8(0), 2),)).edges == ((0, 2),)

@@ -120,7 +120,7 @@ def test_cross_matching_no_edges():
     # a 1-lift of an edgeless-ish base: two transversals inside one fiber pair
     # with no crossing edges between them
     G = sample_uniform_lift(complete_base(2), 4, seed=0)
-    perm = G.matchings[(0, 1)]
+    perm = G.matchings[0].tolist()  # row 0 is base edge (0, 1)
     T1 = [0, 4 + perm[1]]  # (0,0) and (1,perm[1])
     T2 = [2, 4 + perm[3]]  # (0,2) and (1,perm[3])
     M = find_cross_matching(G, [T1, T2])

@@ -79,7 +79,7 @@ def test_endpoint_mismatch_detected():
 def test_missing_edge_detected():
     G = sample_uniform_lift(complete_base(3), 4, seed=3)
     u = VertexId(0, 0)
-    w = VertexId(1, (G.matchings[(0, 1)][0] + 1) % 4)  # deliberately unmatched
+    w = VertexId(1, (int(G.matchings[0, 0]) + 1) % 4)  # row 0 is (0, 1); deliberately unmatched
     v = VertexId(2, 0)
     branch = (u, v)
     # force vertex w between u and v regardless of adjacency
@@ -155,8 +155,8 @@ def test_certificate_format_errors():
 def test_vertex_count_tracks_path_internals():
     G = sample_uniform_lift(complete_base(3), 5, seed=5)
     u, m, v = VertexId(0, 0), None, None
-    for w in sorted(G.neighbors(u)):
-        for x in sorted(G.neighbors(w)):
+    for w in map(G.vertex_at, G.flat_adjacency[G.flat_id(u)]):
+        for x in map(G.vertex_at, G.flat_adjacency[G.flat_id(w)]):
             if x.fiber != u.fiber and x != u:
                 m, v = w, x
                 break
