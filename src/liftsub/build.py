@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import chain, combinations, compress, filterfalse, repeat
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .connect import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget,
                       connect_between_sets, default_max_len)
-from .lifts import LiftGraph, _integer, derive_rng
+from .lifts import LiftGraph, VertexId, _integer, derive_rng
 from .properties import CrossMatching, find_cross_matching
 from .verify import SubdivisionCertificate, certificate_vertex_count, verify_certificate
 
@@ -148,9 +148,12 @@ def _certificate(G: LiftGraph, branch: Sequence[int],
                  paths: dict[tuple[int, int], Sequence[int]]) -> SubdivisionCertificate:
     """The certificate of flat-id branch vertices and paths; the builders make
     VertexIds only here."""
-    at = G.vertex_at
-    return SubdivisionCertificate(branch=tuple(map(at, branch)),
-                                  paths={pair: tuple(map(at, p)) for pair, p in paths.items()})
+    ell = G.ell
+
+    def vertices(ids: Sequence[int]) -> tuple[VertexId, ...]:
+        return tuple(map(VertexId._make, map(divmod, ids, repeat(ell))))
+    return SubdivisionCertificate(branch=vertices(branch),
+                                  paths={pair: vertices(p) for pair, p in paths.items()})
 
 
 def _self_verified(G: LiftGraph, cert: SubdivisionCertificate,
@@ -273,6 +276,10 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
     eps*b/prune_divisor connections; (5) vertex-disjoint stars from the
     still-deficient survivors into the reserved fibers; (6) BFS connections
     between star leaves inside the reserved block.
+
+    The achieved order is at most b = ceil((1-2*eps)*target) by
+    construction, so achieved/target near 1-2*eps is set by eps; it is not a
+    measurement of the constant in sqrt(2*n*ell/(1-1/ell)).
     """
     _require_complete(G)
     n, ell = G.base.num_vertices, G.ell
@@ -333,78 +340,8 @@ def _small_ell_attempt(
     b, ell = len(branch), G.ell
     reserved = range(main, G.base.num_vertices)
     fiber = [v // ell for v in branch]
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    # row i holds branch[i]'s neighbour in every fiber: the base is complete,
-    # so the sorted adjacency list has one entry per other fiber in fiber
-    # order, and -1 fills branch[i]'s own fiber
-    rows = []
-    for v, f in zip(branch, fiber):
-        row = G.flat_adjacency[v][:]
-        row.insert(f, -1)
-        rows.append(row)
-
-    # stage 2: direct edges
-    uncovered: set[tuple[int, int]] = set()
-    for i, j in combinations(range(b), 2):
-        if rows[i][fiber[j]] == branch[j]:
-            paths[(i, j)] = (branch[i], branch[j])
-            stats.direct_edges += 1
-        else:
-            uncovered.add((i, j))
-
-    # stage 3: length-2 paths through fresh common neighbors in the main block
-    # (fibers 0..main-1), where two rows agree, in ascending fiber order
-    branch_set = set(branch)
-    candidates: dict[tuple[int, int], list[int]] = {}
-    pointer: dict[tuple[int, int], int] = {}
-    for pair in uncovered:
-        i, j = pair
-        candidates[pair] = [x for x, y in zip(rows[i][:main], rows[j])
-                            if x == y and x not in branch_set]
-        pointer[pair] = 0
-    used_middles: set[int] = set()
-    deficiency = [0] * b
-    for i, j in uncovered:
-        deficiency[i] += 1
-        deficiency[j] += 1
-
-    def next_middle(pair: tuple[int, int]) -> Optional[int]:
-        mids = candidates[pair]
-        k = pointer[pair]
-        while k < len(mids) and mids[k] in used_middles:
-            k += 1
-        pointer[pair] = k
-        return mids[k] if k < len(mids) else None
-
-    exhausted: set[int] = set()
-    while True:
-        pick = None
-        for i in range(b):
-            if i in exhausted or deficiency[i] == 0:
-                continue
-            if pick is None or deficiency[i] > deficiency[pick]:
-                pick = i
-        if pick is None:
-            break
-        partners = sorted((j for j in range(b)
-                           if (min(pick, j), max(pick, j)) in uncovered),
-                          key=lambda j: (-deficiency[j], j))
-        connected = False
-        for j in partners:
-            pair = (min(pick, j), max(pick, j))
-            mid = next_middle(pair)
-            if mid is None:
-                continue
-            used_middles.add(mid)
-            paths[pair] = (branch[pair[0]], mid, branch[pair[1]])
-            uncovered.discard(pair)
-            deficiency[pair[0]] -= 1
-            deficiency[pair[1]] -= 1
-            stats.length2_paths += 1
-            connected = True
-            break
-        if not connected:
-            exhausted.add(pick)
+    R = _neighbour_matrix(G, branch, fiber)
+    paths, uncovered = _short_paths(branch, fiber, R, main, stats)
 
     # stage 4: prune branch vertices that still miss too many connections
     missing = [0] * b
@@ -428,8 +365,7 @@ def _small_ell_attempt(
     dropped: set[int] = set()
     for i in needs_star:
         leaves = []
-        for g in reserved:
-            w = rows[i][g]
+        for w in R[i, main:].tolist():
             if w not in used_leaves:
                 leaves.append(w)
                 if len(leaves) == star_size:
@@ -494,3 +430,94 @@ def _small_ell_attempt(
     stats.direct_edges = sum(1 for p in out_paths.values() if len(p) == 2)
     stats.length2_paths = sum(1 for p in out_paths.values() if len(p) == 3)
     return _certificate(G, [branch[i] for i in final], out_paths)
+
+
+def _neighbour_matrix(G: LiftGraph, branch: list[int], fiber: list[int]) -> np.ndarray:
+    """The (b, n) matrix whose row i holds branch[i]'s neighbour in every
+    fiber and -1 at its own fiber, fiber[i]: on a complete base the sorted
+    adjacency list has one entry per other fiber, in fiber order."""
+    b, n = len(branch), G.base.num_vertices
+    R = np.full((b, n), -1, dtype=np.intp)
+    adj = G.flat_adjacency
+    R[np.arange(n) != np.array(fiber)[:, None]] = np.fromiter(
+        chain.from_iterable(map(adj.__getitem__, branch)), dtype=np.intp, count=b * (n - 1))
+    return R
+
+
+def _short_paths(branch: list[int], fiber: list[int], R: np.ndarray, main: int,
+                 stats: BuildStats) -> tuple[dict[tuple[int, int], tuple[int, ...]],
+                                             set[tuple[int, int]]]:
+    """Stages 2 and 3 of a small-ell attempt: the direct edges inside the
+    branch set, then greedy length-2 paths through fresh common neighbours in
+    the main block (fibers 0..main-1), most-deficient branch vertex first.
+    R is the (b, n) neighbour matrix of the branch vertices (-1 at each row's
+    own fiber).  Returns the paths by branch-index pair and the pairs left
+    uncovered."""
+    b = len(branch)
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    # stage 2: branch[i] and branch[j] are adjacent iff branch[i]'s neighbour
+    # in fiber[j] is branch[j]
+    direct = R[:, fiber] == branch
+    # partners[i]: the j whose pair with i is still uncovered
+    partners: list[set[int]] = [set() for _ in range(b)]
+    for i in range(b - 1):
+        row = direct[i].tolist()
+        for j in range(i + 1, b):
+            if row[j]:
+                paths[(i, j)] = (branch[i], branch[j])
+                stats.direct_edges += 1
+            else:
+                partners[i].add(j)
+                partners[j].add(i)
+
+    # stage 3: a pair's candidate middles are the main-block columns where
+    # the two rows agree and the common neighbour is not a branch vertex, in
+    # ascending fiber order; one (b, main) boolean block per row i against
+    # rows i+1..b-1.  A pair's candidates are read lazily off its row of the
+    # block: the iterator skips used middles, and a middle it returns is used
+    # at once
+    on_branch = np.full(R.shape[1], -1, dtype=np.intp)
+    on_branch[fiber] = branch
+    M = R[:, :main]
+    fresh = M != on_branch[:main]
+    used_middles: set[int] = set()
+    candidates: dict[tuple[int, int], Iterator[int]] = {}
+    for i in range(b - 1):
+        row = M[i].tolist()
+        agree = (M[i + 1:] == M[i]) & fresh[i]
+        for j in partners[i]:
+            if j > i:
+                candidates[(i, j)] = filterfalse(used_middles.__contains__,
+                                                 compress(row, agree[j - i - 1]))
+
+    # deficiency[i] counts i's uncovered pairs; pickable is the same with an
+    # exhausted vertex at 0, so the first maximum is the first most-deficient
+    # vertex that is not exhausted
+    deficiency = [len(p) for p in partners]
+    pickable = deficiency[:]
+    while True:
+        pick = max(range(b), key=pickable.__getitem__)
+        if pickable[pick] <= 0:
+            break
+        connected = False
+        # most-deficient partner first, lower index first among equals (the
+        # sort is stable also in reverse)
+        for j in sorted(sorted(partners[pick]), key=deficiency.__getitem__, reverse=True):
+            pair = (min(pick, j), max(pick, j))
+            mid = next(candidates[pair], None)
+            if mid is None:
+                continue
+            used_middles.add(mid)
+            paths[pair] = (branch[pair[0]], mid, branch[pair[1]])
+            partners[pick].discard(j)
+            partners[j].discard(pick)
+            for x in pair:
+                deficiency[x] -= 1
+                pickable[x] -= 1
+            stats.length2_paths += 1
+            connected = True
+            break
+        if not connected:
+            pickable[pick] = 0
+    return paths, {(i, j) for i in range(b) for j in partners[i] if i < j}

@@ -397,6 +397,10 @@ def cmd_sweep(args) -> int:
         ell_for = {n: ells for n in n_values}
     elif args.ratio_list:
         ratios = [float(x) for x in args.ratio_list.split(",")]
+        # checked with the grid, before the output file is opened
+        for r in ratios:
+            if not (math.isfinite(r) and r > 0):
+                raise ValueError(f"--ratio-list values must be finite numbers > 0, got {r}")
         ell_for = {n: tuple(max(2, math.ceil(r * n)) for r in ratios) for n in n_values}
     else:
         raise ValueError("one of --ell-list / --ratio-list is required")

@@ -97,8 +97,7 @@ class BaseGraph:
         (i, j) is not an edge."""
         n = self.num_vertices
         if self.is_complete:
-            # rows (0,1), (0,2), ..., (0,n-1), (1,2), ...
-            return i * (2 * n - i - 1) // 2 + j - i - 1 if 0 <= i < j < n else None
+            return _complete_edge_row(n, i, j) if 0 <= i < j < n else None
         return self._edge_rows.get((i, j))
 
     # lazily built views of the edge list; none is built at construction
@@ -128,6 +127,12 @@ class BaseGraph:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return (np.array(order, dtype=np.intp), [f'"{keys[e]}":[' for e in order],
                 json.dumps(self.edges, separators=(",", ":")))
+
+
+def _complete_edge_row(n, i, j):
+    """The row of edge (i, j), 0 <= i < j < n, of K_n, whose edges run (0,1),
+    (0,2), ..., (0,n-1), (1,2), ...; works on ints and on integer arrays."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def _plain_edges(edges: tuple, n: int) -> bool:

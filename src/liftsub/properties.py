@@ -76,7 +76,8 @@ def check_joined(
                 f"exhaustive joinedness needs {total} set pairs, budget is {budget}")
         vertices = list(range(N))
         for A in combinations(vertices, m):
-            rest = [v for v in vertices if v not in set(A)]
+            in_A = set(A)
+            rest = [v for v in vertices if v not in in_A]
             for B in combinations(rest, m):
                 if B[0] < A[0]:
                     continue  # unordered pairs: enumerate each {A,B} once

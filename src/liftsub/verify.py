@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Mapping
+from itertools import chain, combinations
+from typing import Iterable, Mapping
 
-from .lifts import LiftGraph, VertexId, _integer, _json_object, _pair_key
+import numpy as np
+
+from .lifts import (LiftGraph, VertexId, _complete_edge_row, _integer, _json_object,
+                    _pair_key)
 
 __all__ = [
     "CertificateFormatError",
@@ -51,20 +54,37 @@ class SubdivisionCertificate:
     paths: Mapping[tuple[int, int], tuple[VertexId, ...]]
 
     def __post_init__(self):
-        def vertex(v) -> VertexId:
-            f, a = v
-            return VertexId(_integer(f, "fiber"), _integer(a, "layer"))
-
-        branch = tuple(map(vertex, self.branch))
+        branch = tuple(self.branch)
+        given = [(key, tuple(path)) for key, path in self.paths.items()]
+        # a VertexId of two ints is already normal: when one scan over all
+        # vertices finds only such, the per-vertex pass is skipped
+        vertices = tuple if _plain(chain(branch, *(p for _, p in given))) else _vertices
+        branch = vertices(branch)
         paths: dict[tuple[int, int], tuple[VertexId, ...]] = {}
-        for (i, j), path in self.paths.items():
+        for (i, j), path in given:
             i, j = _integer(i, "branch index"), _integer(j, "branch index")
             if i > j:
                 i, j = j, i
-                path = tuple(reversed(tuple(path)))
-            paths[(i, j)] = tuple(map(vertex, path))
+                path = path[::-1]
+            paths[(i, j)] = vertices(path)
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "paths", paths)
+
+
+def _vertices(seq) -> tuple[VertexId, ...]:
+    """Each vertex as a VertexId of two ints; a bool, a float or any other
+    non-integer part raises TypeError."""
+    def vertex(v) -> VertexId:
+        f, a = v
+        return VertexId(_integer(f, "fiber"), _integer(a, "layer"))
+    return tuple(map(vertex, seq))
+
+
+def _plain(vertices: Iterable) -> bool:
+    """True iff every vertex is a VertexId of two ints.  Each condition is one
+    scan in C."""
+    vs = list(vertices)
+    return set(map(type, vs)) <= {VertexId} and set(map(type, chain.from_iterable(vs))) <= {int}
 
 
 def certificate_order(cert: SubdivisionCertificate) -> int:
@@ -97,7 +117,75 @@ class Verdict:
 
 
 def verify_certificate(G: LiftGraph, cert: SubdivisionCertificate) -> Verdict:
-    """Check every certificate invariant in G and enumerate all violations."""
+    """Check every certificate invariant in G and enumerate all violations.
+
+    Edges are checked against `G.matchings` only, never against
+    `G.flat_adjacency`, the neighbour index the builders search: a fault in
+    that index cannot certify its own output.  A certificate that passes one
+    array pass over its flat ids (`_accepts`) is valid; any other gets the
+    vertex-by-vertex walk (`_walk`), which lists every violation."""
+    if _accepts(G, cert):
+        return Verdict(ok=True, violations=())
+    return _walk(G, cert)
+
+
+def _accepts(G: LiftGraph, cert: SubdivisionCertificate) -> bool:
+    """True only if `_walk` would find no violation.  On a complete base it
+    checks, over flat ids: the keys are exactly the pairs i < j < b, every
+    path has two or more vertices, every vertex is in range, every path runs
+    between its two branch vertices, every step is a matched pair in
+    `G.matchings`, and the branch vertices together with all internal
+    vertices are pairwise distinct.  False on any other base, and whenever a
+    condition fails: the walk then decides and names the violations."""
+    base, ell = G.base, G.ell
+    n, b = base.num_vertices, len(cert.branch)
+    pairs, paths = list(cert.paths), list(cert.paths.values())
+    if not base.is_complete or len(pairs) != b * (b - 1) // 2:
+        return False
+    lens = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    if (lens < 2).any():
+        return False
+    try:
+        ij = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                         count=2 * len(pairs)).reshape(-1, 2)
+        fa = np.fromiter(chain.from_iterable(chain(cert.branch, *paths)), dtype=np.int64,
+                         count=2 * (b + int(lens.sum()))).reshape(-1, 2)
+    except OverflowError:  # an index beyond int64 is out of range anyway
+        return False
+    i, j = ij[:, 0], ij[:, 1]
+    f, a = fa[:, 0], fa[:, 1]
+    # the dict's keys are distinct, so b(b-1)/2 of them in range are all pairs
+    if not (((0 <= i) & (i < j) & (j < b)).all()
+            and ((0 <= f) & (f < n) & (0 <= a) & (a < ell)).all()):
+        return False
+    ids = f * ell + a
+    branch_ids, path_ids = ids[:b], ids[b:]
+    stops = np.cumsum(lens)
+    starts = stops - lens
+    if not ((path_ids[starts] == branch_ids[i]).all()
+            and (path_ids[stops - 1] == branch_ids[j]).all()):
+        return False
+    last = np.zeros(len(path_ids), dtype=bool)
+    last[stops - 1] = True
+    # the steps u -> u+1 inside each path, low fiber first
+    u = np.flatnonzero(~last) + b
+    fu, fv, au, av = f[u], f[u + 1], a[u], a[u + 1]
+    low = fu < fv
+    lo, hi = np.where(low, fu, fv), np.where(low, fv, fu)
+    if (lo == hi).any():
+        return False
+    rows = _complete_edge_row(n, lo, hi)
+    if not (G.matchings[rows, np.where(low, au, av)] == np.where(low, av, au)).all():
+        return False
+    inner = ~last
+    inner[starts] = False
+    kept = np.concatenate((branch_ids, path_ids[inner]))
+    return len(set(kept.tolist())) == len(kept)
+
+
+def _walk(G: LiftGraph, cert: SubdivisionCertificate) -> Verdict:
+    """The verdict of `verify_certificate`, vertex by vertex, with every
+    violation in a fixed order."""
     violations: list[Violation] = []
     n, ell = G.base.num_vertices, G.ell
 

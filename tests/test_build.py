@@ -1,5 +1,6 @@
 """Both construction pipelines end to end."""
 
+import itertools
 import math
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from liftsub import (BuildConfig, build_large_ell, build_small_ell,
                      certificate_order, certificate_vertex_count, complete_base,
                      sample_uniform_lift, target_order, verify_certificate)
-from liftsub.lifts import BaseGraph
+from liftsub import build
+from liftsub.build import BuildStats
+from liftsub.lifts import BaseGraph, derive_rng
 
 
 def test_target_order_formula():
@@ -187,3 +190,115 @@ def test_build_outcome_exclusivity():
     from liftsub.build import BuildOutcome, BuildStats
     with pytest.raises(ValueError):
         BuildOutcome(certificate=None, stats=BuildStats(builder="large"), failure=None)
+
+
+# --- the small builder's stages 2-3 against a scalar reference -----------------
+
+
+def scalar_rows(G, branch):
+    """Each branch vertex's neighbour in every fiber, -1 at its own: the
+    adjacency row with -1 inserted."""
+    rows = []
+    for v in branch:
+        row = G.flat_adjacency[v][:]
+        row.insert(v // G.ell, -1)
+        rows.append(row)
+    return rows
+
+
+def scalar_short_paths(branch, fiber, R, main, stats):
+    """Stages 2 and 3 one pair and one entry at a time, with the same
+    signature as `build._short_paths`."""
+    rows = R.tolist()
+    b = len(branch)
+    paths = {}
+    uncovered = set()
+    for i, j in itertools.combinations(range(b), 2):
+        if rows[i][fiber[j]] == branch[j]:
+            paths[(i, j)] = (branch[i], branch[j])
+            stats.direct_edges += 1
+        else:
+            uncovered.add((i, j))
+    branch_set = set(branch)
+    candidates = {pair: [x for x, y in zip(rows[pair[0]][:main], rows[pair[1]])
+                         if x == y and x not in branch_set] for pair in uncovered}
+    pointer = dict.fromkeys(uncovered, 0)
+    used_middles = set()
+    deficiency = [0] * b
+    for i, j in uncovered:
+        deficiency[i] += 1
+        deficiency[j] += 1
+
+    def next_middle(pair):
+        mids, k = candidates[pair], pointer[pair]
+        while k < len(mids) and mids[k] in used_middles:
+            k += 1
+        pointer[pair] = k
+        return mids[k] if k < len(mids) else None
+
+    exhausted = set()
+    while True:
+        pick = None
+        for i in range(b):
+            if i in exhausted or deficiency[i] == 0:
+                continue
+            if pick is None or deficiency[i] > deficiency[pick]:
+                pick = i
+        if pick is None:
+            break
+        partners = sorted((j for j in range(b) if (min(pick, j), max(pick, j)) in uncovered),
+                          key=lambda j: (-deficiency[j], j))
+        for j in partners:
+            pair = (min(pick, j), max(pick, j))
+            mid = next_middle(pair)
+            if mid is None:
+                continue
+            used_middles.add(mid)
+            paths[pair] = (branch[pair[0]], mid, branch[pair[1]])
+            uncovered.discard(pair)
+            deficiency[pair[0]] -= 1
+            deficiency[pair[1]] -= 1
+            stats.length2_paths += 1
+            break
+        else:
+            exhausted.add(pick)
+    return paths, uncovered
+
+
+@pytest.mark.parametrize("n, ell, seed", [(400, 2, 0), (120, 3, 9), (64, 5, 3), (40, 4, 7),
+                                          (30, 2, 5), (12, 3, 1)])
+def test_short_paths_match_scalar_reference(n, ell, seed):
+    # random branch fibers and layers, as a seeded retry draws them, and the
+    # first attempt's fibers 0..b-1 at layer 0
+    G = sample_uniform_lift(complete_base(n), ell, seed)
+    main = math.ceil(0.9 * n)
+    b = min(main, math.ceil(0.8 * target_order(n, ell)))
+    rng = derive_rng(seed, 99)
+    draws = [list(range(b))] + [sorted(rng.choice(main, size=b, replace=False).tolist())
+                                for _ in range(3)]
+    for k, fibers in enumerate(draws):
+        branch = [f * ell + (0 if k == 0 else int(rng.integers(ell))) for f in fibers]
+        R = build._neighbour_matrix(G, branch, fibers)
+        assert R.tolist() == scalar_rows(G, branch)
+        got, want = BuildStats(builder="small"), BuildStats(builder="small")
+        assert (build._short_paths(branch, fibers, R, main, got)
+                == scalar_short_paths(branch, fibers, R.copy(), main, want))
+        assert got == want
+
+
+@pytest.mark.parametrize("n, ell, seed, divisor", [
+    (120, 3, 9, 4.0),   # first attempt succeeds
+    (64, 5, 3, 2.0),    # stars and routing run
+    (64, 5, 5, 4.0),    # seeded second attempt succeeds
+    (40, 4, 7, 4.0),    # third attempt succeeds
+    (40, 4, 0, 2.0),    # every attempt fails at prune
+    (30, 3, 0, 4.0),
+])
+def test_small_builder_matches_scalar_reference(monkeypatch, n, ell, seed, divisor):
+    G = sample_uniform_lift(complete_base(n), ell, seed)
+    cfg = BuildConfig(epsilon=0.1, seed=seed, prune_divisor=divisor, star_divisor=divisor)
+    got = build_small_ell(G, cfg)
+    monkeypatch.setattr(build, "_short_paths", scalar_short_paths)
+    want = build_small_ell(G, cfg)
+    assert (got.certificate, got.stats, got.failure) == (want.certificate, want.stats,
+                                                         want.failure)

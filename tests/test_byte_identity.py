@@ -28,6 +28,14 @@ CASES = {
         {"builder": "small", "direct_edges": 39, "length2_paths": 168, "connector_paths": 3,
          "pruned_branch": 2, "vertices_used": 197, "attempts_used": 1,
          "max_connector_len": 2, "target": 28.284271247461902, "achieved": 21}),
+    # the first attempt prunes below the floor; the seeded second attempt
+    # draws random branch fibers and layers and succeeds
+    "small-retry-K64-ell5-seed5": (
+        build_small_ell, 64, 5, 5, BuildConfig(epsilon=0.1, seed=5),
+        "8c2931b2d3ae36b89e36a1dd43b92324c50bfac309de1e0e8db04800b9835bd7",
+        {"builder": "small", "direct_edges": 11, "length2_paths": 55, "connector_paths": 0,
+         "pruned_branch": 11, "vertices_used": 67, "attempts_used": 2,
+         "max_connector_len": 0, "target": 28.284271247461902, "achieved": 12}),
     # routing budget 3 (D=29, m=1): lift seed 5 fails once and succeeds on
     # the second attempt, so a seeded retry is covered
     "large-K30-ell45-seed5": (

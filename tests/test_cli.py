@@ -291,7 +291,12 @@ def test_sweep_rejects_bad_values_before_writing(tmp_path, monkeypatch, capsys, 
     (["--n-list", 5, "--ell-list", 0], "--ell-list"),
     (["--n-list", 0, "--ell-list", 3], "--n-list"),
     (["--n-list", 5, "--ell-list", 1, "--builder", "small"], "--builder"),
-], ids=["ell-zero", "n-zero", "small-builder-ell-one"])
+    (["--n-list", 5, "--ratio-list", "inf"], "--ratio-list"),
+    (["--n-list", 5, "--ratio-list", "1.5,nan"], "--ratio-list"),
+    (["--n-list", 5, "--ratio-list", 0], "--ratio-list"),
+    (["--n-list", 5, "--ratio-list", -1], "--ratio-list"),
+], ids=["ell-zero", "n-zero", "small-builder-ell-one", "ratio-inf", "ratio-nan",
+        "ratio-zero", "ratio-negative"])
 def test_sweep_rejects_bad_grid_before_writing(tmp_path, capsys, grid, flag):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", *grid, "--trials", 1, "-o", out]) == 2

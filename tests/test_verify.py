@@ -3,11 +3,11 @@
 import pytest
 
 from corruptions import CLASSES, EXPECTED_KIND, corrupt
-from liftsub import (BuildConfig, SubdivisionCertificate, VertexId, build_large_ell,
-                     certificate_from_json, certificate_order,
+from liftsub import (BuildConfig, SubdivisionCertificate, Verdict, VertexId, build_large_ell,
+                     build_small_ell, certificate_from_json, certificate_order,
                      certificate_vertex_count, complete_base, sample_uniform_lift,
-                     serialize_certificate, verify_certificate)
-from liftsub.lifts import derive_rng
+                     serialize_certificate, verify, verify_certificate)
+from liftsub.lifts import BaseGraph, derive_rng
 from liftsub.verify import (BRANCH_COLLISION, CertificateFormatError, ENDPOINT_MISMATCH,
                             INTERNAL_HITS_BRANCH, MALFORMED_PATH, MISSING_EDGE,
                             MISSING_PAIR, OUT_OF_RANGE, REUSED_INTERNAL, UNKNOWN_PAIR)
@@ -190,3 +190,81 @@ def test_certificate_rejects_repeated_json_keys():
 def test_certificate_rejects_booleans_as_integers(text):
     with pytest.raises(CertificateFormatError, match="integer pair"):
         certificate_from_json(text)
+
+
+# --- the array-pass accept against the vertex-by-vertex walk ------------------
+
+
+def built_certificates():
+    """Certificates of both builders, stars and routing included."""
+    cases = [(build_large_ell, 6, 12, 2, BuildConfig(epsilon=0.5, seed=2)),
+             (build_large_ell, 10, 18, 3, BuildConfig(epsilon=0.5, seed=3)),
+             (build_small_ell, 120, 3, 9, BuildConfig(epsilon=0.1, seed=9)),
+             (build_small_ell, 64, 5, 3, BuildConfig(epsilon=0.1, seed=3, prune_divisor=2.0,
+                                                     star_divisor=2.0))]
+    for build, n, ell, seed, cfg in cases:
+        G = sample_uniform_lift(complete_base(n), ell, seed)
+        out = build(G, cfg)
+        assert out.ok
+        yield G, out.certificate
+
+
+def test_fast_accept_never_accepts_a_corruption():
+    for G, cert in built_certificates():
+        assert verify._accepts(G, cert)
+        assert verify_certificate(G, cert) == verify._walk(G, cert) == Verdict(True, ())
+        rng = derive_rng(len(cert.branch), 5)
+        for trial in range(24):
+            kind = CLASSES[trial % len(CLASSES)]
+            bad = corrupt(G, cert, kind, rng)
+            assert bad is not None
+            assert not verify._accepts(G, bad), kind
+            verdict = verify_certificate(G, bad)
+            assert verdict == verify._walk(G, bad)
+            assert EXPECTED_KIND[kind] in verdict.kinds()
+
+
+def test_fast_accept_defers_every_hand_made_fault_to_the_walk():
+    G, cert = k4_certificate()
+    b0, b1, b2 = cert.branch[:3]
+    swaps = [
+        {(0, 1): (b0,)},                              # malformed
+        {(0, 1): (b0, VertexId(9, 9), b1)},           # out of range
+        {(0, 1): (b0, VertexId(2 ** 70, 0), b1)},     # beyond int64
+        {(0, 1): (b0, b2)},                           # endpoint mismatch
+        {(0, 1): (b0, b2, b1)},                       # internal hits branch
+        {(0, 1): (b0, b0, b1)},                       # a step inside one fiber
+        {(0, 9): (b0, b1)},                           # unknown pair
+    ]
+    for swap in swaps:
+        bad = SubdivisionCertificate(cert.branch, {**cert.paths, **swap})
+        assert not verify._accepts(G, bad), swap
+        verdict = verify_certificate(G, bad)
+        assert not verdict.ok and verdict == verify._walk(G, bad)
+    last_empty = {k: p for k, p in cert.paths.items() if k != (2, 3)} | {(2, 3): ()}
+    far = SubdivisionCertificate((VertexId(-1, 0),), {})
+    # in this lift of K_3 every matching swaps the layers: were the step
+    # (0,1)-(0,0) inside fiber 0 read as an edge, it would pass as one
+    G3 = sample_uniform_lift(complete_base(3), 2, seed=0)
+    u, v = VertexId(0, 1), VertexId(1, 1)
+    in_fiber = SubdivisionCertificate((u, v), {(0, 1): (u, VertexId(0, 0), v)})
+    for H, bad, kinds in ((G, SubdivisionCertificate(cert.branch, last_empty), {MALFORMED_PATH}),
+                          (G, far, {OUT_OF_RANGE}), (G3, in_fiber, {MISSING_EDGE})):
+        assert not verify._accepts(H, bad)
+        assert verify_certificate(H, bad) == verify._walk(H, bad)
+        assert verify_certificate(H, bad).kinds() == kinds
+
+
+def test_sparse_base_falls_back_to_the_walk():
+    # a lift of the path 0-1-2: the accept handles complete bases only
+    G = sample_uniform_lift(BaseGraph(3, ((0, 1), (1, 2))), 3, seed=1)
+    u = VertexId(0, 0)
+    w = G.vertex_at(G.flat_adjacency[G.flat_id(u)][0])
+    x = G.vertex_at(G.flat_adjacency[G.flat_id(w)][1])
+    good = SubdivisionCertificate((u, x), {(0, 1): (u, w, x)})
+    bad = SubdivisionCertificate((u, x), {(0, 1): (u, x)})  # 0-2 is not a base edge
+    for cert, ok in ((good, True), (bad, False)):
+        assert not verify._accepts(G, cert)
+        verdict = verify_certificate(G, cert)
+        assert verdict.ok is ok and verdict == verify._walk(G, cert)
+    assert verify_certificate(G, bad).kinds() == {MISSING_EDGE}
