@@ -83,8 +83,10 @@ class BuildConfig:
 
     def __post_init__(self):
         # messages start with the field name, which the sweep CLI turns into its flag
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon}")
+        for name in ("epsilon", "prune_divisor", "star_divisor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "attempts", _integer(self.attempts, "attempts"))
         if self.seed < 0:
@@ -203,12 +205,10 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         if attempt == 0:
             w_fiber = 0
             layers = list(range(n))
-            rng_bfs = None
         else:
             rng = derive_rng(cfg.seed, attempt)
             w_fiber = int(rng.integers(n))
             layers = sorted(int(x) for x in rng.choice(ell, size=n, replace=False))
-            rng_bfs = rng
         branch = [w_fiber * ell + a for a in layers]
         # on a complete base, w's neighbour row holds one vertex per other
         # fiber in ascending order: the transversal V_w
@@ -236,15 +236,14 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         stats.direct_edges = len(matching.by_pair)
 
         pending = [p for p in combinations(range(n), 2) if p not in matching.by_pair]
-        if attempt > 0 and rng_bfs is not None:
-            pending = [pending[k] for k in rng_bfs.permutation(len(pending))]
+        if attempt > 0:
+            pending = [pending[k] for k in rng.permutation(len(pending))]
         failed_pair: Optional[tuple[int, int]] = None
         for i, j in pending:
             sources = [v for v in trans[i] if v not in used]
             targets = [v for v in trans[j] if v not in used]
             try:
-                path = connect_between_sets(G, state, sources, targets,
-                                            max_len=max_len, rng=rng_bfs)
+                path = connect_between_sets(G, state, sources, targets, max_len=max_len)
             except NoPathWithinBudget:
                 failed_pair = (i, j)
                 break
@@ -309,14 +308,12 @@ def build_small_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         stats = BuildStats(builder="small", target=tgt, attempts_used=attempt + 1)
         if attempt == 0:
             branch = [f * ell for f in range(b)]
-            rng_bfs = None
         else:
             rng = derive_rng(cfg.seed, attempt)
             fibers = sorted(int(x) for x in rng.choice(f1_count, size=b, replace=False))
             branch = [f * ell + int(rng.integers(ell)) for f in fibers]
-            rng_bfs = rng
         outcome = _small_ell_attempt(
-            G, branch, f1_count, prune_threshold, star_size, floor, max_len, rng_bfs, stats)
+            G, branch, f1_count, prune_threshold, star_size, floor, max_len, stats)
         if isinstance(outcome, BuildFailure):
             last_failure = outcome
             continue
@@ -332,7 +329,6 @@ def _small_ell_attempt(
     star_size: int,
     floor: int,
     max_len: int,
-    rng_bfs: Optional[np.random.Generator],
     stats: BuildStats,
 ) -> SubdivisionCertificate | BuildFailure:
     # branch vertices, paths and star leaves are flat ids; the main block is
@@ -400,7 +396,7 @@ def _small_ell_attempt(
         try:
             if not src or not dst:
                 raise NoPathWithinBudget("star leaves exhausted")
-            path = connect_between_sets(G, state, src, dst, max_len=max_len, rng=rng_bfs)
+            path = connect_between_sets(G, state, src, dst, max_len=max_len)
         except NoPathWithinBudget:
             # drop the endpoint with more remaining obligations and move on
             rem_i = sum(1 for p in pending_pairs if i in p and p[0] in alive and p[1] in alive)

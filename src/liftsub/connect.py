@@ -5,23 +5,18 @@ the construction; new connecting paths must keep their internal vertices
 outside S.  Both builders route through the one primitive here,
 `connect_between_sets`: breadth-first search, so a failure means no path of
 the requested length exists in the current state, not a heuristic miss.
-
-An unseeded search (the first attempt of both builders) stops at the first
-level that reaches a target and returns the path a full sweep to the budget
-would return.  A seeded search (the retry attempts) sweeps every level up to
-the budget, because each level draws from the generator that the attempt's
-later routes share; stopping early would change their paths.
+The search is deterministic and stops at the first level that reaches a
+target; a builder's retry varies its routes through the branch vertices
+and the order of the pairs it routes, not through the search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .lifts import LiftGraph
+from .lifts import LiftGraph, _integer
 
 __all__ = [
     "EmbeddingState",
@@ -42,6 +37,8 @@ class ExtendabilityParams:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "D", _integer(self.D, "D"))
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.D < 3:
             raise ValueError("D must be >= 3")
         if self.m < 1:
@@ -95,107 +92,59 @@ class EmbeddingState:
             self.used_edges.add((b, a))
 
 
-def _bfs_levels(
-    adj: list[list[int]],
-    starts: Sequence[int],
-    blocked: set[int],
-    terminals: set[int],
-    depth_cap: int,
-    rng: Optional[np.random.Generator],
-    forbidden_hops: set[tuple[int, int]],
-) -> tuple[dict[int, int], dict[int, int]]:
-    """BFS from `starts` through unblocked vertices; terminals are reachable
-    but never expanded.  `forbidden_hops` suppresses specific start-to-terminal
-    edges (used when a direct edge already belongs to the state), leaving the
-    terminal discoverable along longer routes.  Returns (dist, parent).
-
-    Unseeded (`rng is None`), the search stops at the first level that
-    reaches a terminal.  Before expanding level d it reads each terminal's
-    neighbour row: the smallest neighbour at distance d (not a reached
-    terminal, and at d == 0 not joined by a forbidden hop) is the parent the
-    ascending sweep of level d would assign, so the reached terminals get
-    the dist and parent the full sweep gives them, and level d is never
-    expanded.  Seeded searches sweep to `depth_cap`: every level draws a
-    permutation from `rng`, and later routes of the same attempt read the
-    same generator, so stopping early would change their paths."""
-    dist = {s: 0 for s in starts}
-    parent: dict[int, int] = {}
-    frontier = list(starts)
-    depth = 0
-    while frontier and depth < depth_cap:
-        if rng is None:
-            hits = {}
-            for t in terminals:
-                # rows are sorted, so the first qualifying neighbour is the smallest
-                x = next((x for x in adj[t] if dist.get(x) == depth and x not in terminals
-                          and not (depth == 0 and (x, t) in forbidden_hops)), None)
-                if x is not None:
-                    hits[t] = x
-            if hits:
-                parent.update(hits)
-                dist.update(dict.fromkeys(hits, depth + 1))
-                break
-            frontier.sort()
-        else:
-            frontier = [frontier[k] for k in rng.permutation(len(frontier))]
-        nxt: list[int] = []
-        for x in frontier:
-            if x in terminals and dist[x] > 0:
-                continue
-            for w in adj[x]:
-                if w in dist:
-                    continue
-                if w in blocked and w not in terminals:
-                    continue
-                if depth == 0 and (x, w) in forbidden_hops:
-                    continue
-                dist[w] = depth + 1
-                parent[w] = x
-                nxt.append(w)
-        frontier = nxt
-        depth += 1
-    return dist, parent
-
-
 def connect_between_sets(
     G: LiftGraph,
     S: EmbeddingState,
     sources: Sequence[int],
     targets: Sequence[int],
     max_len: int,
-    rng: Optional[np.random.Generator] = None,
 ) -> tuple[int, ...]:
     """Shortest admissible path from any source to any target, committed to S.
 
     Sources, targets and the returned path are flat vertex ids.  Both endpoint
     pools must lie in S and be disjoint.  Internal vertices stay outside S and
-    no edge of S is reused.  Ties go to the smallest target flat id, with the
-    frontier scanned in ascending order, or in a seeded random order when
-    `rng` is given.  On failure S is unchanged and NoPathWithinBudget is
-    raised.
+    no edge of S is reused.  On failure S is unchanged and NoPathWithinBudget
+    is raised.
+
+    The search is a BFS from the sources through vertices outside S, each
+    level expanded in ascending order.  Before expanding level d it reads the
+    targets' neighbour rows: the first target (smallest id) with a neighbour
+    at distance d, not joined to it by an edge of S, ends the search, with
+    its smallest such neighbour as parent.  That is the path a full sweep to
+    `max_len` returns when ties go to the smallest target id.
     """
     starts = sorted(sources)
-    terminals = set(targets)
-    if any(x not in S.blocked for x in starts) or any(x not in S.blocked for x in terminals):
+    terminals = sorted(set(targets))
+    blocked, used_edges = S.blocked, S.used_edges
+    if any(x not in blocked for x in starts) or any(t not in blocked for t in terminals):
         raise ValueError("all endpoint candidates must belong to S")
-    if terminals.intersection(starts):
+    if not set(terminals).isdisjoint(starts):
         raise ValueError("source and target pools must be disjoint")
-    dist, parent = _bfs_levels(G.flat_adjacency, starts, S.blocked, terminals, max_len,
-                               rng, S.used_edges)
-    best: Optional[tuple[int, int]] = None
-    for t in terminals:
-        d = dist.get(t)
-        if d is not None and 0 < d <= max_len:
-            key = (d, t)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise NoPathWithinBudget(f"no path between the endpoint pools of length <= {max_len}")
-    x = best[1]
-    path = [x]
-    while dist[x] > 0:
-        x = parent[x]
-        path.append(x)
-    path.reverse()
-    S.add_path(path)
-    return tuple(path)
+    adj = G.flat_adjacency
+    dist = dict.fromkeys(starts, 0)
+    parent: dict[int, int] = {}
+    frontier = starts
+    for depth in range(max_len):
+        if not frontier:
+            break
+        for t in terminals:
+            # rows are sorted, so the first qualifying neighbour is the smallest
+            x = next((x for x in adj[t] if dist.get(x) == depth
+                      and (x, t) not in used_edges), None)
+            if x is not None:
+                path = [t, x]
+                while x in parent:
+                    x = parent[x]
+                    path.append(x)
+                path.reverse()
+                S.add_path(path)
+                return tuple(path)
+        nxt: list[int] = []
+        for x in frontier:
+            for w in adj[x]:
+                if w not in dist and w not in blocked:
+                    dist[w] = depth + 1
+                    parent[w] = x
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    raise NoPathWithinBudget(f"no path between the endpoint pools of length <= {max_len}")

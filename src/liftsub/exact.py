@@ -44,7 +44,10 @@ class OracleBudget:
     time_limit: float = 60.0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_states < 1 or self.time_limit <= 0:
+        object.__setattr__(self, "max_nodes", _integer(self.max_nodes, "max_nodes"))
+        object.__setattr__(self, "max_states", _integer(self.max_states, "max_states"))
+        # `not > 0` also refuses a NaN limit, which would never expire
+        if self.max_nodes < 1 or self.max_states < 1 or not self.time_limit > 0:
             raise ValueError("budget components must be positive")
 
 
@@ -127,7 +130,9 @@ def load_edge_list(text: str) -> SimpleGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # ASCII digits only: str.isdigit also takes other scripts' digits
+        # and superscripts
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"line {lineno}: expected 'u v' with non-negative integers")
         u, v = int(parts[0]), int(parts[1])
         top = max(top, u, v)

@@ -7,7 +7,8 @@ import pytest
 
 from liftsub import (BuildConfig, build_large_ell, build_small_ell,
                      certificate_order, certificate_vertex_count, complete_base,
-                     sample_uniform_lift, target_order, verify_certificate)
+                     connect_between_sets, sample_uniform_lift, target_order,
+                     verify_certificate)
 from liftsub import build
 from liftsub.build import BuildStats
 from liftsub.lifts import BaseGraph, derive_rng
@@ -25,6 +26,15 @@ def test_target_order_formula():
 def test_target_order_rejects_ell_one():
     with pytest.raises(ValueError):
         target_order(10, 1)
+
+
+@pytest.mark.parametrize("field", ["prune_divisor", "star_divisor"])
+@pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
+def test_config_rejects_bad_divisors(field, value):
+    # refused up front, not as a ZeroDivisionError, a NaN conversion or a
+    # prune of every branch vertex in the middle of a build
+    with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+        BuildConfig(**{field: value})
 
 
 def test_large_builder_tiny_instance():
@@ -67,6 +77,21 @@ def test_large_builder_connector_paths_within_budget():
     # certificate paths add the two branch hops around each routed path
     longest = max(len(p) - 1 for p in out.certificate.paths.values())
     assert longest <= budget + 2
+
+
+def test_large_builder_routes_through_the_module_level_name(monkeypatch):
+    # the builder looks connect_between_sets up in liftsub.build at each
+    # call, so a wrapper installed there (as a tracer would) sees every route
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return connect_between_sets(*args, **kwargs)
+    monkeypatch.setattr(build, "connect_between_sets", counting)
+    G = sample_uniform_lift(complete_base(48), 80, 0)
+    out = build_large_ell(G, BuildConfig(epsilon=0.5, seed=0))
+    assert out.ok and out.stats.connector_paths == 83
+    assert len(calls) == 83
 
 
 def test_large_builder_below_threshold_warns():

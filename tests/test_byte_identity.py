@@ -37,13 +37,15 @@ CASES = {
          "pruned_branch": 11, "vertices_used": 67, "attempts_used": 2,
          "max_connector_len": 0, "target": 28.284271247461902, "achieved": 12}),
     # routing budget 3 (D=29, m=1): lift seed 5 fails once and succeeds on
-    # the second attempt, so a seeded retry is covered
+    # the second attempt, so a seeded retry is covered: its branch fiber and
+    # layers and its order of pending pairs come from the build seed, and
+    # the search itself is the first attempt's
     "large-K30-ell45-seed5": (
         build_large_ell, 30, 45, 5,
         BuildConfig(epsilon=0.1, seed=5, params=ExtendabilityParams(D=29, m=1)),
-        "0e8acc0037efd2e5faae2bee477d9c11f6f41db5d9dd9998d81cd77c9498e14c",
+        "c0bc91a9a1abdefe8214b34f2ce5d86910c3dd973ffce8dabe42f7eff65e5d48",
         {"builder": "large", "direct_edges": 402, "length2_paths": 0, "connector_paths": 33,
-         "pruned_branch": 0, "vertices_used": 948, "attempts_used": 2,
+         "pruned_branch": 0, "vertices_used": 946, "attempts_used": 2,
          "max_connector_len": 3, "target": 30.0, "achieved": 30}),
     # the criterion-5 scale with default parameters: unseeded routes of
     # length at most 3 under a budget of 9

@@ -97,6 +97,9 @@ def test_oracle_cli(tmp_path, capsys):
     assert out["hajos"] == 5 and out["exact"] is True
     assert run(["oracle", "hajos", "-i", edges, "--format", "text"]) == 0
     assert "hajos: 5" in capsys.readouterr().out
+    # a NaN deadline would never expire
+    assert run(["oracle", "hajos", "-i", edges, "--time-limit", "nan"]) == 2
+    assert "budget components must be positive" in capsys.readouterr().err
 
 
 def test_verify_json_format(tmp_path, lift_file, capsys):

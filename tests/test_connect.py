@@ -169,13 +169,11 @@ def test_connect_deterministic_on_fresh_states():
     sources = list(range(4))  # (0, 0..3)
     targets = [12 + k for k in range(4, 8)]  # (1, 4..7)
 
-    def route(rng_seed):
+    def route():
         S = EmbeddingState(G, sources + targets)
-        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        return connect_between_sets(G, S, sources, targets, MAX_LEN, rng=rng), snapshot(S)
+        return connect_between_sets(G, S, sources, targets, MAX_LEN), snapshot(S)
 
-    assert route(None) == route(None)
-    assert route(3) == route(3)
+    assert route() == route()
 
 
 def test_sequential_connects_stay_disjoint_at_scale():
@@ -202,7 +200,7 @@ def test_sequential_connects_stay_disjoint_at_scale():
     assert done == 100
 
 
-def reference_route(G, S, sources, targets, max_len, rng):
+def reference_route(G, S, sources, targets, max_len):
     """The full-depth search: expand every level up to `max_len`, then take
     the terminal with the smallest (distance, flat id)."""
     adj = G.flat_adjacency
@@ -214,10 +212,7 @@ def reference_route(G, S, sources, targets, max_len, rng):
     for depth in range(max_len):
         if not frontier:
             break
-        if rng is None:
-            frontier.sort()
-        else:
-            frontier = [frontier[k] for k in rng.permutation(len(frontier))]
+        frontier.sort()
         nxt = []
         for x in frontier:
             if x in terminals and dist[x] > 0:
@@ -271,26 +266,21 @@ def test_connect_matches_full_depth_reference():
     gen = np.random.default_rng(2024)
     seen = {"forbidden_direct_hop": 0, "terminal_next_to_terminal": 0, "depth_1": 0,
             "depth_2_plus": 0, "no_path": 0}
-    for trial in range(400):
+    for _ in range(400):
         G, sources, targets, in_s, used, max_len = random_routing_case(gen)
-        for rng_seed in (None, trial):
-            S = make_state(G, in_s, used)
-            R = make_state(G, in_s, used)
-            rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            ref_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            try:
-                path = connect_between_sets(G, S, sources, targets, max_len, rng=rng)
-            except NoPathWithinBudget:
-                path = None
-            expected = reference_route(G, R, sources, targets, max_len, ref_rng)
-            if expected is not None:
-                R.add_path(expected)
-            assert path == expected
-            assert snapshot(S) == snapshot(R)
-            if rng is not None:
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-            seen["no_path" if path is None
-                 else "depth_1" if len(path) == 2 else "depth_2_plus"] += 1
+        S = make_state(G, in_s, used)
+        R = make_state(G, in_s, used)
+        try:
+            path = connect_between_sets(G, S, sources, targets, max_len)
+        except NoPathWithinBudget:
+            path = None
+        expected = reference_route(G, R, sources, targets, max_len)
+        if expected is not None:
+            R.add_path(expected)
+        assert path == expected
+        assert snapshot(S) == snapshot(R)
+        seen["no_path" if path is None
+             else "depth_1" if len(path) == 2 else "depth_2_plus"] += 1
         seen["forbidden_direct_hop"] += any(u in sources and v in targets for u, v in used)
         seen["terminal_next_to_terminal"] += any(
             w in targets for t in targets for w in G.flat_adjacency[t])

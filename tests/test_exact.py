@@ -228,3 +228,15 @@ def test_load_edge_list():
     assert H.num_vertices == 3 and len(H.edges) == 3
     with pytest.raises(ValueError, match="line 1"):
         load_edge_list("a b\n")
+    # an Arabic-Indic three, a superscript two and a fullwidth zero pass
+    # str.isdigit; only ASCII digits are accepted
+    for line in ("0 \u0663", "0 \u00b2", "\uff10 1"):
+        with pytest.raises(ValueError, match="line 2: expected 'u v'"):
+            load_edge_list(f"0 1\n{line}\n")
+
+
+def test_budget_refuses_nan_time_limit():
+    # a NaN deadline never expires, so it would switch the time budget off
+    for limit in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            OracleBudget(time_limit=limit)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from liftsub import (BaseGraph, BuildConfig, LiftFormatError, LiftGraph, SimpleGraph,
-                     SubdivisionCertificate, VertexId, complete_base, deserialize,
+from liftsub import (BaseGraph, BuildConfig, ExtendabilityParams, LiftFormatError, LiftGraph,
+                     OracleBudget, SimpleGraph, SubdivisionCertificate, VertexId,
+                     complete_base, deserialize,
                      derive_rng, estimate_avoidance_probability, exact_avoidance_probability,
                      lifts, sample_uniform_lift, serialize)
 
@@ -410,10 +411,16 @@ def test_constructors_accept_only_integers(make):
     lambda: estimate_avoidance_probability([(0.5, 1)], 3, trials=10),
     lambda: exact_avoidance_probability([(0.5, 1)], 3),
     lambda: sample_uniform_lift(complete_base(3), 2, 0).is_edge(VertexId(0.5, 0), VertexId(1, 0)),
+    lambda: ExtendabilityParams(D=29.5, m=1),
+    lambda: ExtendabilityParams(D=4, m=1.5),
+    lambda: OracleBudget(max_nodes=24.5),
+    lambda: OracleBudget(max_nodes=True),
+    lambda: OracleBudget(max_states=2.5),
 ], ids=["matching-float", "matching-bool", "rng-float", "rng-bool", "config-seed-float",
         "config-seed-bool", "config-attempts-float", "certificate-vertex-float",
         "certificate-key-float", "simple-graph-float", "simple-graph-bool",
-        "estimate-pair-float", "exact-pair-float", "is-edge-float"])
+        "estimate-pair-float", "exact-pair-float", "is-edge-float", "params-D-float",
+        "params-m-float", "budget-nodes-float", "budget-nodes-bool", "budget-states-float"])
 def test_public_constructors_do_not_truncate(make):
     # a float or bool is refused, never truncated to an int
     with pytest.raises(TypeError, match="integer"):
