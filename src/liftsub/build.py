@@ -85,7 +85,8 @@ class BuildConfig:
         # messages start with the field name, which the sweep CLI turns into its flag
         for name in ("epsilon", "prune_divisor", "star_divisor"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            # math.isfinite takes a bool as 0 or 1; refuse it, as `seed` and `attempts` do
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value}")
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         object.__setattr__(self, "attempts", _integer(self.attempts, "attempts"))

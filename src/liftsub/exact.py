@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .lifts import LiftGraph, _integer, derive_rng
 
@@ -122,8 +124,13 @@ def lift_to_simple(G: LiftGraph) -> SimpleGraph:
 
 
 def load_edge_list(text: str) -> SimpleGraph:
-    """Parse a plain edge list, one '"u v"' pair per line, 0-indexed."""
+    """Parse a plain edge list, one '"u v"' pair per line, 0-indexed.
+
+    Only canonical input is read: each edge once in either orientation, no
+    loops, and decimal numbers without leading zeros.
+    """
     edges = []
+    seen = set()
     top = -1
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -132,9 +139,17 @@ def load_edge_list(text: str) -> SimpleGraph:
         parts = line.split()
         # ASCII digits only: str.isdigit also takes other scripts' digits
         # and superscripts
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-            raise ValueError(f"line {lineno}: expected 'u v' with non-negative integers")
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit()
+                                      and (p == "0" or p[0] != "0") for p in parts):
+            raise ValueError(f"line {lineno}: expected 'u v' with non-negative integers "
+                             "without leading zeros")
         u, v = int(parts[0]), int(parts[1])
+        if u == v:
+            raise ValueError(f"line {lineno}: loop {u} {v} is not allowed")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {u} {v}")
+        seen.add(key)
         top = max(top, u, v)
         edges.append((u, v))
     return SimpleGraph(top + 1 if top >= 0 else 1, tuple(edges))
@@ -327,7 +342,15 @@ class MaxEdgesResult:
 
 def max_edges_on_b_subset(H: SimpleGraph, b: int,
                           budget: Optional[OracleBudget] = None) -> MaxEdgesResult:
-    """Exact max of e(H[B]) over b-subsets, branch and bound on degree sums.
+    """Exact max of e(H[B]) over b-subsets, by include-first branch and bound.
+
+    The search walks the vertices in degree-descending order and cuts a
+    branch when either bound on its best completion reaches the best count
+    so far: the edges already chosen plus the next `need` degrees, or half of
+    the summed caps min(deg v, b-1) of the chosen vertices and the next
+    `need`, since 2e(B) is the sum of the degrees inside B and none of them
+    exceeds b-1.  A cut branch holds nothing strictly better than the best
+    count, so the result equals the unpruned search's.
 
     If the budget runs out the returned value is a lower bound, flagged via
     exact=False.
@@ -339,39 +362,44 @@ def max_edges_on_b_subset(H: SimpleGraph, b: int,
         raise ValueError(f"b must lie in [1, {N}]")
     tracker = _Tracker(budget)
     order = sorted(range(N), key=lambda v: -H.degree(v))
+    position = [0] * N
+    for p, v in enumerate(order):
+        position[v] = p
+    # adjacency and the chosen set as bitmasks over positions in `order`
+    adj = [sum(1 << position[w] for w in _iter_bits(H.adj[v])) for v in order]
     degs = [H.degree(v) for v in order]
-    best = {"edges": -1, "subset": ()}
+    caps = [min(d, b - 1) for d in degs]
+    # both lists are sorted descending, so the next `need` entries dominate
+    # any `need` later ones; prefix sums read their sums in O(1)
+    deg_prefix = list(accumulate(degs, initial=0))
+    cap_prefix = list(accumulate(caps, initial=0))
+    best_edges, best_mask = -1, 0
 
-    def bound(idx: int, need: int) -> int:
-        # degs is sorted descending, so the first `need` entries dominate
-        return sum(degs[idx:idx + need])
-
-    def extend(idx: int, chosen: list[int], chosen_mask: int, e_cur: int) -> None:
+    def extend(idx: int, size: int, chosen: int, e_cur: int, cap_cur: int) -> None:
+        nonlocal best_edges, best_mask
         tracker.charge()
-        if len(chosen) == b:
-            if e_cur > best["edges"]:
-                best["edges"] = e_cur
-                best["subset"] = tuple(sorted(chosen))
+        if size == b:
+            if e_cur > best_edges:
+                best_edges, best_mask = e_cur, chosen
             return
-        need = b - len(chosen)
-        if N - idx < need:
+        end = idx + b - size
+        if end > N:
             return
-        if e_cur + bound(idx, need) <= best["edges"]:
+        if (e_cur + deg_prefix[end] - deg_prefix[idx] <= best_edges
+                or (cap_cur + cap_prefix[end] - cap_prefix[idx]) // 2 <= best_edges):
             return
-        v = order[idx]
-        gain = (H.adj[v] & chosen_mask).bit_count()
-        chosen.append(v)
-        extend(idx + 1, chosen, chosen_mask | 1 << v, e_cur + gain)
-        chosen.pop()
-        extend(idx + 1, chosen, chosen_mask, e_cur)
+        gain = (adj[idx] & chosen).bit_count()
+        extend(idx + 1, size + 1, chosen | 1 << idx, e_cur + gain, cap_cur + caps[idx])
+        extend(idx + 1, size, chosen, e_cur, cap_cur)
 
     exact = True
     try:
-        extend(0, [], 0, 0)
+        extend(0, 0, 0, 0, 0)
     except _BudgetExhausted:
         exact = False
-    return MaxEdgesResult(max_edges=max(best["edges"], 0), exact=exact,
-                          subset=best["subset"], states=tracker.states)
+    subset = tuple(sorted(order[p] for p in _iter_bits(best_mask)))
+    return MaxEdgesResult(max_edges=max(best_edges, 0), exact=exact,
+                          subset=subset, states=tracker.states)
 
 
 @dataclass(frozen=True)
@@ -476,39 +504,51 @@ def search_property_P_violator(
 
 # --- exact avoidance probability ------------------------------------------------
 
+# Every Ryser term is a product of ell row sums of at most ell each, so
+# |term| <= 12^12 < 2^44, and the 2^12 terms sum to less than 2^56 < 2^63:
+# the int64 arithmetic below is exact up to this cap.
 MAX_PERMANENT_ELL = 12
+
+
+def _subset_bits(k: int) -> np.ndarray:
+    """Row s holds the bits of s: the (2^k, k) int8 table of column subsets."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.int8)
+
+
+def _parity_signs(bits: np.ndarray) -> np.ndarray:
+    return 1 - 2 * (bits.sum(axis=1, dtype=np.int64) & 1)
 
 
 def exact_avoidance_probability(F: Iterable[tuple[int, int]], ell: int) -> Fraction:
     """Exact probability that a uniform perfect matching avoids every pair in F.
 
     Equals permanent(J - A_F) / ell!, with the permanent of the 0/1 allowed
-    matrix computed by inclusion-exclusion over column subsets (Ryser).
+    matrix computed by inclusion-exclusion over column subsets S (Ryser):
+    the signed sum of (-1)^(ell-|S|) times the product of the row sums over
+    S.  The row sums over S are those over its low half of columns plus those
+    over its high half.  Each half's subset table (at most 2^6 rows) takes
+    one small int8 matmul against the allowed matrix, and one broadcast add
+    gives the row sums of all 2^ell subsets.
     """
     ell = _integer(ell, "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ell > MAX_PERMANENT_ELL:
         raise ValueError(f"ell={ell} exceeds the permanent cap {MAX_PERMANENT_ELL}")
-    allowed = [[1] * ell for _ in range(ell)]
+    allowed = np.ones((ell, ell), dtype=np.int8)
     for a, b in F:
         a, b = _integer(a, "layer"), _integer(b, "layer")
         if not (0 <= a < ell and 0 <= b < ell):
             raise ValueError(f"pair ({a},{b}) out of range for ell={ell}")
-        allowed[a][b] = 0
-    total = 0
-    for subset in range(1, 1 << ell):
-        cols = [j for j in range(ell) if subset >> j & 1]
-        prod = 1
-        for i in range(ell):
-            row_sum = 0
-            for j in cols:
-                row_sum += allowed[i][j]
-            prod *= row_sum
-            if prod == 0:
-                break
-        if (ell - len(cols)) % 2 == 0:
-            total += prod
-        else:
-            total -= prod
-    return Fraction(total, math.factorial(ell))
+        allowed[a, b] = 0
+    h = ell // 2
+    lo_bits, hi_bits = _subset_bits(h), _subset_bits(ell - h)
+    # lo[s, i]: allowed columns of row i among the low columns in s; a row
+    # sum is at most ell, so int8 holds it
+    lo = lo_bits @ allowed[:, :h].T
+    hi = hi_bits @ allowed[:, h:].T
+    # terms[t, s]: the Ryser product of the subset with high half t, low half s
+    terms = (hi[:, None, :] + lo[None, :, :]).prod(axis=2, dtype=np.int64)
+    # (-1)^(ell-|S|) = (-1)^ell * (-1)^|high half| * (-1)^|low half|
+    total = int(_parity_signs(hi_bits) @ terms @ _parity_signs(lo_bits))
+    return Fraction(total if ell % 2 == 0 else -total, math.factorial(ell))

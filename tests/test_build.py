@@ -37,6 +37,14 @@ def test_config_rejects_bad_divisors(field, value):
         BuildConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["epsilon", "prune_divisor", "star_divisor"])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_rejects_bool_numbers(field, value):
+    # math.isfinite(True) holds, so without the check True would read as 1.0
+    with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+        BuildConfig(**{field: value})
+
+
 def test_large_builder_tiny_instance():
     # a 2-regular lift: succeeds whenever the chosen branch layers line up on
     # one cycle; seeded retries find such a choice for this instance

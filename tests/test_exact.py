@@ -10,7 +10,7 @@ from liftsub import (OracleBudget, SimpleGraph, check_property_P,
                      exact_avoidance_probability, exact_hajos_number, complete_base,
                      lift_to_simple, max_edges_on_b_subset, sample_uniform_lift,
                      search_property_P_violator, subdivision_nonexistence_by_counting)
-from liftsub.exact import load_edge_list
+from liftsub.exact import MAX_PERMANENT_ELL, load_edge_list
 from liftsub.lifts import VertexId, derive_rng
 
 
@@ -117,6 +117,74 @@ def test_max_edges_on_subsets():
             assert len(res.subset) == b
 
 
+def reference_max_edges(H, b):
+    """Reference search: the same include-first walk over the
+    degree-descending order, cut only by the edges so far plus the next
+    `need` degrees.  Returns (max_edges, subset, states)."""
+    N = H.num_vertices
+    order = sorted(range(N), key=lambda v: -H.degree(v))
+    degs = [H.degree(v) for v in order]
+    best = {"edges": -1, "subset": ()}
+    states = 0
+
+    def extend(idx, chosen, chosen_mask, e_cur):
+        nonlocal states
+        states += 1
+        if len(chosen) == b:
+            if e_cur > best["edges"]:
+                best["edges"] = e_cur
+                best["subset"] = tuple(sorted(chosen))
+            return
+        need = b - len(chosen)
+        if N - idx < need:
+            return
+        if e_cur + sum(degs[idx:idx + need]) <= best["edges"]:
+            return
+        v = order[idx]
+        gain = (H.adj[v] & chosen_mask).bit_count()
+        chosen.append(v)
+        extend(idx + 1, chosen, chosen_mask | 1 << v, e_cur + gain)
+        chosen.pop()
+        extend(idx + 1, chosen, chosen_mask, e_cur)
+
+    extend(0, [], 0, 0)
+    return max(best["edges"], 0), best["subset"], states
+
+
+CRITERION_7_SHAPES = [(2, 10), (3, 6), (4, 5), (2, 8), (3, 5), (4, 4), (2, 6), (3, 4),
+                      (4, 3), (2, 4)]
+
+
+def assert_matches_reference(H):
+    for b in range(1, H.num_vertices + 1):
+        res = max_edges_on_b_subset(H, b)
+        edges, subset, states = reference_max_edges(H, b)
+        assert (res.max_edges, res.subset, res.exact) == (edges, subset, True), b
+        # the extra bound only cuts branches, so it never adds states
+        assert res.states <= states, b
+
+
+@pytest.mark.parametrize("shape", CRITERION_7_SHAPES, ids=lambda s: f"n{s[0]}-ell{s[1]}")
+def test_max_edges_matches_reference_on_lifts(shape):
+    n, ell = shape
+    for seed in range(3):
+        assert_matches_reference(lift_to_simple(sample_uniform_lift(complete_base(n), ell, seed)))
+
+
+def test_max_edges_matches_reference_on_uneven_degrees():
+    # caps min(deg, b-1) differ from vertex to vertex here, unlike on a lift
+    for seed in range(10):
+        assert_matches_reference(random_graph(9, 0.5, seed))
+
+
+def test_max_edges_budget_exhaustion_flagged():
+    H = lift_to_simple(sample_uniform_lift(complete_base(4), 5, seed=0))
+    full = max_edges_on_b_subset(H, 10)
+    res = max_edges_on_b_subset(H, 10, OracleBudget(max_states=20))
+    assert full.exact and not res.exact
+    assert res.states == 21 and res.max_edges <= full.max_edges
+
+
 def test_nonexistence_vacuous_cases():
     G = sample_uniform_lift(complete_base(4), 3, seed=0)
     v = subdivision_nonexistence_by_counting(G, 3)
@@ -218,6 +286,43 @@ def test_avoidance_probability_matches_enumeration():
             assert exact_avoidance_probability(F, ell) == Fraction(count, math.factorial(ell))
 
 
+def reference_permanent_probability(F, ell):
+    """Scalar Ryser over column subsets, one row sum at a time."""
+    allowed = [[1] * ell for _ in range(ell)]
+    for a, b in F:
+        allowed[a][b] = 0
+    total = 0
+    for subset in range(1, 1 << ell):
+        cols = [j for j in range(ell) if subset >> j & 1]
+        prod = 1
+        for i in range(ell):
+            prod *= sum(allowed[i][j] for j in cols)
+            if prod == 0:
+                break
+        total += prod if (ell - len(cols)) % 2 == 0 else -prod
+    return Fraction(total, math.factorial(ell))
+
+
+def test_avoidance_probability_matches_scalar_ryser():
+    rng = derive_rng(12)
+    for ell in range(1, MAX_PERMANENT_ELL + 1):
+        full = [(a, b) for a in range(ell) for b in range(ell)]
+        cases = [[], full, [(a, a) for a in range(ell)]]
+        for _ in range(2 if ell == MAX_PERMANENT_ELL else 4):
+            k = int(rng.integers(0, 3 * ell + 1))
+            cases.append({(int(rng.integers(ell)), int(rng.integers(ell))) for _ in range(k)})
+        for F in cases:
+            assert exact_avoidance_probability(F, ell) == reference_permanent_probability(F, ell)
+    # F empty at the cap is the largest-magnitude case: permanent(J) = 12!
+    assert exact_avoidance_probability([], MAX_PERMANENT_ELL) == 1
+
+
+def test_permanent_cap_keeps_int64_headroom():
+    # each Ryser term is at most ell^ell and there are 2^ell of them
+    ell = MAX_PERMANENT_ELL
+    assert ell ** ell * 2 ** ell < 2 ** 63
+
+
 def test_avoidance_probability_cap():
     with pytest.raises(ValueError):
         exact_avoidance_probability([], 13)
@@ -233,6 +338,21 @@ def test_load_edge_list():
     for line in ("0 \u0663", "0 \u00b2", "\uff10 1"):
         with pytest.raises(ValueError, match="line 2: expected 'u v'"):
             load_edge_list(f"0 1\n{line}\n")
+
+
+def test_load_edge_list_refuses_non_canonical_lines():
+    # a reversed pair is the same edge, and `007` is not a canonical number
+    with pytest.raises(ValueError, match="line 2: duplicate edge 1 0"):
+        load_edge_list("0 1\n1 0\n007 2\n")
+    with pytest.raises(ValueError, match="line 3: duplicate edge 0 1"):
+        load_edge_list("0 1\n1 2\n0 1\n")
+    for line in ("007 2", "0 00", "01 2"):
+        with pytest.raises(ValueError, match="line 2: expected 'u v'"):
+            load_edge_list(f"0 1\n{line}\n")
+    with pytest.raises(ValueError, match="line 2: loop 3 3"):
+        load_edge_list("0 1\n3 3\n")
+    # a lone zero and trailing zeros are canonical
+    assert load_edge_list("0 10\n10 20\n").edges == ((0, 10), (10, 20))
 
 
 def test_budget_refuses_nan_time_limit():
