@@ -5,9 +5,9 @@ from .build import (BuildConfig, BuildFailure, BuildOutcome, BuildStats,
                     target_order)
 from .connect import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget,
                       connect_between_sets, default_max_len)
-from .exact import (HajosResult, NonexistenceVerdict, OracleBudget, SimpleGraph,
-                    check_property_P, exact_avoidance_probability, exact_hajos_number,
-                    lift_to_simple, max_edges_on_b_subset, search_property_P_violator,
+from .exact import (HajosResult, NonexistenceVerdict, OracleBudget, check_property_P,
+                    exact_avoidance_probability, exact_hajos_number, lift_to_simple,
+                    max_edges_on_b_subset, search_property_P_violator,
                     subdivision_nonexistence_by_counting)
 from .lifts import (BaseGraph, LiftFormatError, LiftGraph, VertexId, complete_base,
                     derive_rng, deserialize, sample_uniform_lift, serialize)

@@ -25,8 +25,8 @@ from . import exact as exact_mod
 from . import properties as props_mod
 from .build import BuildConfig, BuildOutcome, build_large_ell, build_small_ell, target_order
 from .connect import ExtendabilityParams
-from .lifts import (LiftGraph, VertexId, complete_base, deserialize, sample_uniform_lift,
-                    serialize)
+from .lifts import (BaseGraph, LiftGraph, VertexId, complete_base, deserialize,
+                    sample_uniform_lift, serialize)
 from .verify import (certificate_from_json, certificate_order, serialize_certificate,
                      verify_certificate)
 
@@ -37,7 +37,7 @@ def _load_lift(path: str) -> LiftGraph:
     return deserialize(Path(path).read_bytes())
 
 
-def _load_graph_any(path: str) -> exact_mod.SimpleGraph:
+def _load_graph_any(path: str) -> BaseGraph:
     """Accept either a lift file or a plain edge-list file."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):

@@ -13,13 +13,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lifts import LiftGraph, _integer, derive_rng
+from .lifts import BaseGraph, LiftGraph, _integer, derive_rng
 
 __all__ = [
     "HajosResult",
@@ -27,7 +26,6 @@ __all__ = [
     "NonexistenceVerdict",
     "OracleBudget",
     "PropertySearchResult",
-    "SimpleGraph",
     "check_property_P",
     "exact_avoidance_probability",
     "exact_hajos_number",
@@ -71,65 +69,19 @@ class _Tracker:
             raise _BudgetExhausted("time budget exhausted")
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Plain simple graph on [0, n) with bitmask adjacency."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = _integer(self.num_vertices, "num_vertices")
-        norm = []
-        for i, j in self.edges:
-            i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
-            if i == j:
-                raise ValueError("loops are not allowed")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < n and j < n):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            norm.append((i, j))
-        object.__setattr__(self, "num_vertices", n)
-        object.__setattr__(self, "edges", tuple(sorted(set(norm))))
-
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        masks = [0] * self.num_vertices
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.num_vertices)), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def with_edge(self, u: int, v: int) -> "SimpleGraph":
-        return SimpleGraph(self.num_vertices, self.edges + ((u, v),))
+def lift_to_simple(G: LiftGraph) -> BaseGraph:
+    """The lift as a plain graph on its flat ids fiber*ell + layer."""
+    edges = tuple((u, w) for u, nbrs in enumerate(G.flat_adjacency) for w in nbrs if u < w)
+    return BaseGraph(G.num_vertices, edges)
 
 
-def lift_to_simple(G: LiftGraph) -> SimpleGraph:
-    edges = []
-    for u, nbrs in enumerate(G.flat_adjacency):
-        for w in nbrs:
-            if u < w:
-                edges.append((u, w))
-    return SimpleGraph(G.num_vertices, tuple(edges))
-
-
-def load_edge_list(text: str) -> SimpleGraph:
+def load_edge_list(text: str) -> BaseGraph:
     """Parse a plain edge list, one '"u v"' pair per line, 0-indexed.
 
     Only canonical input is read: each edge once in either orientation, no
-    loops, and decimal numbers without leading zeros.
+    loops, and decimal numbers without leading zeros.  The lines may come in
+    any order; the graph holds the sorted pairs (min, max).
     """
-    edges = []
     seen = set()
     top = -1
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -151,8 +103,7 @@ def load_edge_list(text: str) -> SimpleGraph:
             raise ValueError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add(key)
         top = max(top, u, v)
-        edges.append((u, v))
-    return SimpleGraph(top + 1 if top >= 0 else 1, tuple(edges))
+    return BaseGraph(top + 1 if top >= 0 else 1, tuple(sorted(seen)))
 
 
 # --- largest clique subdivision ----------------------------------------------
@@ -168,7 +119,7 @@ class HajosResult:
     states: int = 0
 
 
-def _count_edges_within(H: SimpleGraph, B: Sequence[int]) -> int:
+def _count_edges_within(H: BaseGraph, B: Sequence[int]) -> int:
     mask = 0
     for v in B:
         mask |= 1 << v
@@ -182,7 +133,7 @@ def _iter_bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _reachable(H: SimpleGraph, u: int, v: int, free_mask: int, memo: dict) -> bool:
+def _reachable(H: BaseGraph, u: int, v: int, free_mask: int, memo: dict) -> bool:
     key = (u, v, free_mask)
     cached = memo.get(key)
     if cached is not None:
@@ -205,7 +156,7 @@ def _reachable(H: SimpleGraph, u: int, v: int, free_mask: int, memo: dict) -> bo
     return False
 
 
-def _paths_for_pair(H: SimpleGraph, u: int, v: int, free_mask: int,
+def _paths_for_pair(H: BaseGraph, u: int, v: int, free_mask: int,
                     tracker: _Tracker) -> Iterable[tuple[int, ...]]:
     """Yield internal-vertex tuples of simple u-v paths, shortest first."""
     if H.adj[u] >> v & 1:
@@ -227,7 +178,7 @@ def _paths_for_pair(H: SimpleGraph, u: int, v: int, free_mask: int,
         yield from exact_depth(u, (), free_mask, k)
 
 
-def _connect_all(H: SimpleGraph, branch: Sequence[int],
+def _connect_all(H: BaseGraph, branch: Sequence[int],
                  tracker: _Tracker) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
     b = len(branch)
     branch_mask = 0
@@ -275,7 +226,7 @@ def _connect_all(H: SimpleGraph, branch: Sequence[int],
     return None
 
 
-def _find_subdivision(H: SimpleGraph, b: int, tracker: _Tracker
+def _find_subdivision(H: BaseGraph, b: int, tracker: _Tracker
                       ) -> Optional[tuple[tuple[int, ...], dict]]:
     N = H.num_vertices
     if b < 1 or b > N:
@@ -296,7 +247,7 @@ def _find_subdivision(H: SimpleGraph, b: int, tracker: _Tracker
     return None
 
 
-def exact_hajos_number(H: SimpleGraph, budget: Optional[OracleBudget] = None) -> HajosResult:
+def exact_hajos_number(H: BaseGraph, budget: Optional[OracleBudget] = None) -> HajosResult:
     """Largest b such that H contains a K_b subdivision, by descending search.
 
     Starts at min(max degree + 1, |V|) and walks down; each level either finds
@@ -340,7 +291,7 @@ class MaxEdgesResult:
     states: int = 0
 
 
-def max_edges_on_b_subset(H: SimpleGraph, b: int,
+def max_edges_on_b_subset(H: BaseGraph, b: int,
                           budget: Optional[OracleBudget] = None) -> MaxEdgesResult:
     """Exact max of e(H[B]) over b-subsets, by include-first branch and bound.
 
@@ -374,27 +325,32 @@ def max_edges_on_b_subset(H: SimpleGraph, b: int,
     deg_prefix = list(accumulate(degs, initial=0))
     cap_prefix = list(accumulate(caps, initial=0))
     best_edges, best_mask = -1, 0
-
-    def extend(idx: int, size: int, chosen: int, e_cur: int, cap_cur: int) -> None:
-        nonlocal best_edges, best_mask
-        tracker.charge()
-        if size == b:
-            if e_cur > best_edges:
-                best_edges, best_mask = e_cur, chosen
-            return
-        end = idx + b - size
-        if end > N:
-            return
-        if (e_cur + deg_prefix[end] - deg_prefix[idx] <= best_edges
-                or (cap_cur + cap_prefix[end] - cap_prefix[idx]) // 2 <= best_edges):
-            return
-        gain = (adj[idx] & chosen).bit_count()
-        extend(idx + 1, size + 1, chosen | 1 << idx, e_cur + gain, cap_cur + caps[idx])
-        extend(idx + 1, size, chosen, e_cur, cap_cur)
-
+    # Depth first, include branch first, without recursion: a node walks on
+    # into its include child and pushes its exclude child, so nodes are
+    # charged in the order of the recursive search and the stack holds at
+    # most N pending excludes.
+    stack = [(0, 0, 0, 0, 0)]
     exact = True
     try:
-        extend(0, 0, 0, 0, 0)
+        while stack:
+            idx, size, chosen, e_cur, cap_cur = stack.pop()
+            while True:
+                tracker.charge()
+                if size == b:
+                    if e_cur > best_edges:
+                        best_edges, best_mask = e_cur, chosen
+                    break
+                end = idx + b - size
+                if end > N:
+                    break
+                if (e_cur + deg_prefix[end] - deg_prefix[idx] <= best_edges
+                        or (cap_cur + cap_prefix[end] - cap_prefix[idx]) // 2 <= best_edges):
+                    break
+                stack.append((idx + 1, size, chosen, e_cur, cap_cur))
+                e_cur += (adj[idx] & chosen).bit_count()
+                cap_cur += caps[idx]
+                chosen |= 1 << idx
+                idx, size = idx + 1, size + 1
     except _BudgetExhausted:
         exact = False
     subset = tuple(sorted(order[p] for p in _iter_bits(best_mask)))
@@ -413,7 +369,7 @@ class NonexistenceVerdict:
 
 
 def subdivision_nonexistence_by_counting(
-    G: LiftGraph | SimpleGraph, b: int,
+    G: LiftGraph | BaseGraph, b: int,
     budget: Optional[OracleBudget] = None,
 ) -> NonexistenceVerdict:
     """Certify 'no K_b subdivision' when every b-set spans too few edges.

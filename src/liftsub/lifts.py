@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -70,9 +70,11 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """A simple undirected graph given by a sorted, duplicate-free edge list.
+    """A simple undirected graph on [0, num_vertices) given by a sorted,
+    duplicate-free edge list of pairs (i, j), i < j.
 
-    Row e of a lift's `matchings` array belongs to `edges[e]`."""
+    Row e of a lift's `matchings` array belongs to `edges[e]`.  The exact
+    oracles search the same type, through its bitmask adjacency `adj`."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
@@ -100,7 +102,25 @@ class BaseGraph:
             return _complete_edge_row(n, i, j) if 0 <= i < j < n else None
         return self._edge_rows.get((i, j))
 
+    def degree(self, v: int) -> int:
+        return self.adj[v].bit_count()
+
+    def max_degree(self) -> int:
+        return max(map(int.bit_count, self.adj))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.adj[u] >> v & 1)
+
     # lazily built views of the edge list; none is built at construction
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """Bit w of adj[v] is set iff v and w are adjacent."""
+        masks = [0] * self.num_vertices
+        for i, j in self.edges:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
 
     @cached_property
     def _edge_rows(self) -> dict[tuple[int, int], int]:
@@ -176,8 +196,7 @@ class LiftGraph:
 
     `matchings` is a read-only (E, ell) integer array: row e is the
     permutation of base edge `base.edges[e]` = (i, j), i < j, and layer a in
-    fiber i is matched to layer matchings[e, a] in fiber j.  The constructor
-    also takes a mapping {(i, j): permutation} and makes the array from it.
+    fiber i is matched to layer matchings[e, a] in fiber j.
     """
 
     base: BaseGraph
@@ -190,14 +209,7 @@ class LiftGraph:
         ell = _integer(self.ell, "ell")
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        m = self.matchings
-        if isinstance(m, Mapping):
-            rows = _mapping_rows(self.base, ell, m)
-        elif isinstance(m, np.ndarray):
-            rows = _array_rows(self.base, ell, m)
-        else:
-            raise TypeError("matchings must be an (E, ell) integer array or a mapping "
-                            f"from base edges to permutations, got {type(m).__name__}")
+        rows = _array_rows(self.base, ell, self.matchings)
         rows.flags.writeable = False
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "matchings", rows)
@@ -286,32 +298,10 @@ class LiftGraph:
         return e is not None and self._matched_layer[e * ell + a] == b
 
 
-def _mapping_rows(base: BaseGraph, ell: int, matchings: Mapping) -> np.ndarray:
-    """The (E, ell) array of a mapping {(i, j): permutation}."""
-    rows: list = [None] * len(base.edges)
-    identity = list(range(ell))
-    for key, perm in matchings.items():
-        i, j = _integer(key[0], "edge endpoint"), _integer(key[1], "edge endpoint")
-        e = base.edge_index(i, j)
-        if e is None:
-            raise ValueError(f"matching key {i}-{j} is not a base edge")
-        if rows[e] is not None:
-            raise ValueError(f"matching key {i}-{j} given twice")
-        p = list(map(operator.index, perm))
-        if sorted(p) != identity:
-            raise ValueError(f"matching for edge {i}-{j} is not a bijection on [0,{ell})")
-        rows[e] = p
-    if None in rows:
-        i, j = base.edges[rows.index(None)]
-        raise ValueError(f"matching missing for base edge {i}-{j}")
-    # operator.index reads booleans as 0 and 1; one scan refuses them
-    if bool in map(type, chain.from_iterable(matchings.values())):
-        raise TypeError("matching entries must be integers, got a boolean")
-    return np.array(rows, dtype=np.intp).reshape(len(rows), ell)
-
-
 def _array_rows(base: BaseGraph, ell: int, m: np.ndarray) -> np.ndarray:
     """A copy of an (E, ell) integer array as intp, checked in one pass."""
+    if not isinstance(m, np.ndarray):
+        raise TypeError(f"matchings must be an (E, ell) integer array, got {type(m).__name__}")
     if m.dtype == bool:
         raise TypeError("matching entries must be integers, got a boolean")
     if m.dtype.kind not in "iu":
@@ -504,23 +494,33 @@ def deserialize(data: bytes | str) -> LiftGraph:
     raw = obj["matchings"]
     if not isinstance(raw, dict):
         raise LiftFormatError("field 'matchings' must be an object")
-    # fast path: exactly the E canonical keys, each an array of ell ints
+    # exactly the E canonical keys, each an array of ell ints
     rows = list(map(raw.get, base._keys))
     entries = _flat_ints(rows, ell) if len(raw) == len(rows) else None
     if entries is not None:
         try:
             return LiftGraph(base, ell, np.array(entries, dtype=np.intp).reshape(len(rows), ell))
         except (OverflowError, ValueError):
-            pass  # the walk below names the fault by key, in file order
-    matchings: dict[tuple[int, int], list[int]] = {}
+            pass  # _matchings_fault names the fault by key, in file order
+    raise _matchings_fault(base, ell, raw)
+
+
+def _matchings_fault(base: BaseGraph, ell: int, raw: dict) -> LiftFormatError:
+    """The error naming the first fault of a 'matchings' object that is not
+    E valid rows.  Two walks over the keys in file order: the first checks
+    each key's form and entry types, the second that it is a base edge and
+    its row a permutation; then the first base edge without a key."""
     for key, perm in raw.items():
-        e = _pair_key(key)
-        if e is None:
-            raise LiftFormatError(f"matchings key '{key}' must have the canonical form 'i-j'")
+        if _pair_key(key) is None:
+            return LiftFormatError(f"matchings key '{key}' must have the canonical form 'i-j'")
         if not (isinstance(perm, list) and all(type(x) is int for x in perm)):
-            raise LiftFormatError(f"matchings['{key}'] must be an array of integers")
-        matchings[e] = perm
-    try:
-        return LiftGraph(base, ell, matchings)
-    except ValueError as exc:
-        raise LiftFormatError(str(exc)) from None
+            return LiftFormatError(f"matchings['{key}'] must be an array of integers")
+    identity = list(range(ell))
+    for key, perm in raw.items():
+        if base.edge_index(*_pair_key(key)) is None:
+            return LiftFormatError(f"matching key {key} is not a base edge")
+        if sorted(perm) != identity:
+            return LiftFormatError(f"matching for edge {key} is not a bijection on [0,{ell})")
+    # no key is faulty, yet the rows were not taken: one is missing
+    missing = next(key for key in base._keys if key not in raw)
+    return LiftFormatError(f"matching missing for base edge {missing}")

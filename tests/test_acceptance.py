@@ -213,10 +213,10 @@ def test_criterion_7_nonexistence_consistency():
 
 
 def test_criterion_8_oracle_sanity():
-    from liftsub.exact import SimpleGraph
+    from liftsub.lifts import BaseGraph
 
-    k5 = SimpleGraph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
-    c7 = SimpleGraph(7, tuple(tuple(sorted((i, (i + 1) % 7))) for i in range(7)))
+    k5 = BaseGraph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
+    c7 = BaseGraph(7, tuple(sorted(tuple(sorted((i, (i + 1) % 7))) for i in range(7))))
     ok = exact_hajos_number(k5).best == 5 and exact_hajos_number(c7).best == 3
     rng = derive_rng(888)
     degree_violations = 0
@@ -225,7 +225,7 @@ def test_criterion_8_oracle_sanity():
         p = float(rng.uniform(0.2, 0.6))
         edges = tuple((i, j) for i in range(nv) for j in range(i + 1, nv)
                       if rng.random() < p)
-        H = SimpleGraph(nv, edges)
+        H = BaseGraph(nv, edges)
         res = exact_hajos_number(H)
         if not res.exact or res.best > H.max_degree() + 1:
             degree_violations += 1
@@ -234,13 +234,13 @@ def test_criterion_8_oracle_sanity():
         nv = 7
         edges = tuple((i, j) for i in range(nv) for j in range(i + 1, nv)
                       if rng.random() < 0.35)
-        H = SimpleGraph(nv, edges)
+        H = BaseGraph(nv, edges)
         non_edges = [(i, j) for i, j in combinations(range(nv), 2)
                      if not H.has_edge(i, j)]
         if not non_edges:
             continue
         extra = non_edges[int(rng.integers(len(non_edges)))]
-        H2 = H.with_edge(*extra)
+        H2 = BaseGraph(nv, tuple(sorted(H.edges + (extra,))))
         if exact_hajos_number(H).best > exact_hajos_number(H2).best:
             monotone_violations += 1
     report(8, "oracle sanity",

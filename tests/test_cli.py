@@ -102,6 +102,16 @@ def test_oracle_cli(tmp_path, capsys):
     assert "budget components must be positive" in capsys.readouterr().err
 
 
+def test_oracle_nonexistence_on_a_long_lift(tmp_path, capsys):
+    # 1,500 vertices: deeper than Python's recursion limit if the b-subset
+    # search recursed once per vertex
+    lift = tmp_path / "k2.json"
+    assert run(["sample", "--n", 2, "--ell", 750, "--seed", 0, "-o", lift]) == 0
+    assert run(["oracle", "nonexistence", "-i", lift, "--b", 1200, "--max-states", 5000]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["exact"] is False and out["no_subdivision"] is False
+
+
 def test_verify_json_format(tmp_path, lift_file, capsys):
     cert = tmp_path / "cert.json"
     run(["build", "-i", lift_file, "--builder", "large",

@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import chisquare
 
 from liftsub import (BaseGraph, BuildConfig, ExtendabilityParams, LiftFormatError, LiftGraph,
-                     OracleBudget, SimpleGraph, SubdivisionCertificate, VertexId,
+                     OracleBudget, SubdivisionCertificate, VertexId,
                      complete_base, deserialize,
                      derive_rng, estimate_avoidance_probability, exact_avoidance_probability,
                      lifts, sample_uniform_lift, serialize)
@@ -189,8 +189,7 @@ def test_equal_lifts_compare_and_hash_equal():
     base = complete_base(5)
     G = sample_uniform_lift(base, 4, seed=3)
     same = [sample_uniform_lift(complete_base(5), 4, seed=3), deserialize(serialize(G)),
-            LiftGraph(base, 4, G.matchings.copy()),
-            LiftGraph(base, 4, dict(zip(base.edges, G.matchings.tolist())))]
+            LiftGraph(base, 4, G.matchings.copy()), LiftGraph(base, 4, G.matchings.astype(np.uint8))]
     for H in same:
         assert H == G and hash(H) == hash(G)
     assert len({G, *same}) == 1
@@ -200,43 +199,34 @@ def test_equal_lifts_compare_and_hash_equal():
         G.matchings[0, 0] = G.matchings[0, 1]
 
 
-GOOD_ROWS = {(0, 1): (0, 1), (0, 2): (1, 0), (1, 2): (0, 1)}
+GOOD_ROWS = np.array([[0, 1], [1, 0], [0, 1]])
 
 
-class Zero:
-    """An index that is 0 but no dict key equal to 0: a second key for (0, 2)."""
-
-    def __index__(self):
-        return 0
-
-
-@pytest.mark.parametrize("as_dict, as_array, error, fragment", [
-    ({**GOOD_ROWS, (0, 2): (True, False)}, np.array([[0, 1], [1, 0], [0, 1]], dtype=bool),
-     TypeError, "integers, got a boolean"),
-    ({**GOOD_ROWS, (0, 2): (1.0, 0.0)}, np.array([[0, 1], [1, 0], [0, 1]], dtype=float),
-     TypeError, "integer"),
-    ({**GOOD_ROWS, (0, 2): (1, 1)}, np.array([[0, 1], [1, 1], [0, 1]]),
-     ValueError, "edge 0-2 is not a bijection"),
-    ({**GOOD_ROWS, (0, 2): (1, 2)}, np.array([[0, 1], [1, 2], [0, 1]], dtype=np.uint8),
-     ValueError, "edge 0-2 is not a bijection"),
-    ({e: p for e, p in GOOD_ROWS.items() if e != (1, 2)}, np.array([[0, 1], [1, 0]]),
-     ValueError, None),
-    ({**GOOD_ROWS, (2, 3): (0, 1)}, np.array([[0, 1], [1, 0], [0, 1], [0, 1]]), ValueError, None),
-    ({**GOOD_ROWS, (Zero(), 2): (0, 1)}, np.array([[0, 1], [1, 0], [0, 1], [1, 0]]),
-     ValueError, None),
+@pytest.mark.parametrize("as_array, error, fragment", [
+    (np.array([[0, 1], [1, 0], [0, 1]], dtype=bool), TypeError, "integers, got a boolean"),
+    (np.array([[0, 1], [1, 0], [0, 1]], dtype=float), TypeError, "integer"),
+    (np.array([[0, 1], [1, 1], [0, 1]]), ValueError, "edge 0-2 is not a bijection"),
+    (np.array([[0, 1], [1, 2], [0, 1]], dtype=np.uint8), ValueError, "edge 0-2 is not a bijection"),
+    (np.array([[0, 1], [1, 0]]), ValueError, None),
+    (np.array([[0, 1], [1, 0], [0, 1], [0, 1]]), ValueError, None),
+    (np.array([[0, 1], [1, 0], [0, 1], [1, 0]]), ValueError, None),
 ], ids=["bool", "float", "not-bijection", "out-of-range", "missing", "extra", "duplicate"])
-def test_array_validation_matches_the_mapping_path(as_dict, as_array, error, fragment):
+def test_array_validation_matches_the_mapping_path(as_array, error, fragment):
+    """The one check of a lift's matchings array.
+
+    The name and ids are kept from the earlier comparison with the mapping
+    form of the constructor, which was removed; each case is the array of
+    the mapping it was compared with."""
     base = complete_base(3)
-    assert LiftGraph(base, 2, GOOD_ROWS) == LiftGraph(base, 2, np.array(list(GOOD_ROWS.values())))
-    with pytest.raises(error, match=fragment):
-        LiftGraph(base, 2, as_dict)
+    assert LiftGraph(base, 2, GOOD_ROWS).matchings.tolist() == GOOD_ROWS.tolist()
     with pytest.raises(error, match=fragment):
         LiftGraph(base, 2, as_array)
 
 
 def test_lift_graph_refuses_other_containers():
-    with pytest.raises(TypeError, match="array or a mapping"):
-        LiftGraph(complete_base(2), 2, [[1, 0]])
+    for rows in ([[1, 0]], {(0, 1): (1, 0)}):
+        with pytest.raises(TypeError, match=r"\(E, ell\) integer array"):
+            LiftGraph(complete_base(2), 2, rows)
 
 
 def test_deserialize_rejects_non_bijection():
@@ -267,13 +257,11 @@ def test_deserialize_rejects_garbage():
 
 def test_lift_graph_validation():
     base = complete_base(3)
-    good = {(0, 1): (0, 1), (0, 2): (1, 0), (1, 2): (0, 1)}
-    LiftGraph(base, 2, good)
+    LiftGraph(base, 2, GOOD_ROWS)
     with pytest.raises(ValueError):
-        LiftGraph(base, 2, {**good, (0, 1): (0, 0)})
-    incomplete = {k: v for k, v in good.items() if k != (1, 2)}
+        LiftGraph(base, 2, np.array([[0, 0], [1, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        LiftGraph(base, 2, incomplete)
+        LiftGraph(base, 2, GOOD_ROWS[:2])
 
 
 def test_general_base_graph_supported():
@@ -384,21 +372,19 @@ def test_sampler_rejects_negative_seed():
     lambda: BaseGraph(True, ()),
     lambda: BaseGraph(3.0, ()),
     lambda: complete_base(True),
-    lambda: LiftGraph(complete_base(2), True, {(0, 1): (0,)}),
-    lambda: LiftGraph(complete_base(2), 1.0, {(0, 1): (0,)}),
-    lambda: LiftGraph(complete_base(2), 1, {(0.0, 1): (0,)}),
-    lambda: LiftGraph(complete_base(2), 1, {(False, 1): (0,)}),
+    lambda: LiftGraph(complete_base(2), True, np.array([[0]])),
+    lambda: LiftGraph(complete_base(2), 1.0, np.array([[0]])),
 ], ids=["ell-bool", "ell-float", "seed-float", "seed-bool", "seed-str", "endpoint-float",
         "endpoint-bool", "n-bool", "n-float", "complete-bool", "lift-ell-bool",
-        "lift-ell-float", "key-float", "key-bool"])
+        "lift-ell-float"])
 def test_constructors_accept_only_integers(make):
     with pytest.raises(TypeError, match="must be an integer"):
         make()
 
 
 @pytest.mark.parametrize("make", [
-    lambda: LiftGraph(complete_base(2), 2, {(0, 1): (0.5, 1)}),
-    lambda: LiftGraph(complete_base(2), 2, {(0, 1): (True, False)}),
+    lambda: LiftGraph(complete_base(2), 2, np.array([[0.5, 1]])),
+    lambda: LiftGraph(complete_base(2), 2, np.array([[True, False]])),
     lambda: derive_rng(1.7),
     lambda: derive_rng(True),
     lambda: BuildConfig(seed=1.5),
@@ -406,8 +392,8 @@ def test_constructors_accept_only_integers(make):
     lambda: BuildConfig(attempts=2.5),
     lambda: SubdivisionCertificate(branch=((0.5, 0),), paths={}),
     lambda: SubdivisionCertificate(branch=((0, 0), (1, 0)), paths={(0, 1.0): ((0, 0), (1, 0))}),
-    lambda: SimpleGraph(3, ((0.5, 1),)),
-    lambda: SimpleGraph(3, ((True, 2),)),
+    lambda: BaseGraph(3, ((0.5, 1),)),
+    lambda: BaseGraph(3, ((True, 2),)),
     lambda: estimate_avoidance_probability([(0.5, 1)], 3, trials=10),
     lambda: exact_avoidance_probability([(0.5, 1)], 3),
     lambda: sample_uniform_lift(complete_base(3), 2, 0).is_edge(VertexId(0.5, 0), VertexId(1, 0)),
@@ -428,11 +414,12 @@ def test_public_constructors_do_not_truncate(make):
 
 
 def test_numpy_integers_pass_the_integer_checks():
-    G = LiftGraph(complete_base(2), 2, {(np.int64(0), 1): np.array([1, 0])})
+    G = LiftGraph(complete_base(np.int64(2)), np.int64(2), np.array([[1, 0]], dtype=np.int32))
     assert G.matchings.tolist() == [[1, 0]] and G.matchings.dtype == np.intp
+    assert type(G.ell) is int
     assert BuildConfig(seed=np.uint64(3), attempts=np.int32(2)) == BuildConfig(seed=3, attempts=2)
     assert derive_rng(np.int64(4)).integers(1 << 30) == derive_rng(4).integers(1 << 30)
-    assert SimpleGraph(np.int64(3), ((np.int8(0), 2),)).edges == ((0, 2),)
+    assert BaseGraph(np.int64(3), ((np.int8(0), 2),)).edges == ((0, 2),)
 
 
 def test_numpy_integers_become_ints():
@@ -461,6 +448,21 @@ def test_deserialize_errors_name_the_key(edit, fragment):
     edit(obj["matchings"])
     with pytest.raises(LiftFormatError, match=fragment):
         deserialize(json.dumps(obj))
+
+
+def test_deserialize_names_the_first_fault_of_two_walks():
+    """A matchings object is walked twice in file order: key form and entry
+    types first, then base edges and permutations.  A type fault in a later
+    key is named before a permutation fault in an earlier one."""
+    obj = json.loads(serialize(sample_uniform_lift(complete_base(3), 3, seed=0)))
+    obj["matchings"]["0-1"] = [0, 0, 2]
+    with pytest.raises(LiftFormatError) as one:
+        deserialize(json.dumps(obj))
+    assert str(one.value) == "matching for edge 0-1 is not a bijection on [0,3)"
+    obj["matchings"]["1-2"] = [0, 1, True]
+    with pytest.raises(LiftFormatError) as two:
+        deserialize(json.dumps(obj))
+    assert str(two.value) == "matchings['1-2'] must be an array of integers"
 
 
 @pytest.mark.parametrize("alias", ["00-1", "0-01", "٠-١", "+0-1", " 0-1", "0-1 ", "0_0-1", "0--1"])
