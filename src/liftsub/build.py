@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, filterfalse, repeat
+from itertools import combinations, compress, filterfalse, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -213,7 +213,7 @@ def build_large_ell(G: LiftGraph, cfg: BuildConfig = BuildConfig()) -> BuildOutc
         branch = [w_fiber * ell + a for a in layers]
         # on a complete base, w's neighbour row holds one vertex per other
         # fiber in ascending order: the transversal V_w
-        trans = [G.flat_adjacency[w] for w in branch]
+        trans = G.flat_adjacency[branch].tolist()
 
         # the branch vertices block their fiber-mates only where chosen; the
         # remaining ell-n fiber-W vertices stay routable
@@ -431,13 +431,11 @@ def _small_ell_attempt(
 
 def _neighbour_matrix(G: LiftGraph, branch: list[int], fiber: list[int]) -> np.ndarray:
     """The (b, n) matrix whose row i holds branch[i]'s neighbour in every
-    fiber and -1 at its own fiber, fiber[i]: on a complete base the sorted
-    adjacency list has one entry per other fiber, in fiber order."""
-    b, n = len(branch), G.base.num_vertices
-    R = np.full((b, n), -1, dtype=np.intp)
-    adj = G.flat_adjacency
-    R[np.arange(n) != np.array(fiber)[:, None]] = np.fromiter(
-        chain.from_iterable(map(adj.__getitem__, branch)), dtype=np.intp, count=b * (n - 1))
+    fiber and -1 at its own fiber, fiber[i]: on a complete base a neighbour
+    row has one entry per other fiber, in fiber order."""
+    n = G.base.num_vertices
+    R = np.full((len(branch), n), -1, dtype=np.intp)
+    R[np.arange(n) != np.array(fiber)[:, None]] = G.flat_adjacency[branch].ravel()
     return R
 
 

@@ -107,10 +107,11 @@ def connect_between_sets(
     is raised.
 
     The search is a BFS from the sources through vertices outside S, each
-    level expanded in ascending order.  Before expanding level d it reads the
-    targets' neighbour rows: the first target (smallest id) with a neighbour
-    at distance d, not joined to it by an edge of S, ends the search, with
-    its smallest such neighbour as parent.  That is the path a full sweep to
+    level expanded in ascending order.  It reads rows of `G.flat_adjacency`
+    with one `.tolist()` per row read, so paths hold Python ints.  Before
+    expanding level d it reads the targets' neighbour rows: the first target
+    (smallest id) with a neighbour at distance d, not joined to it by an edge
+    of S, ends the search, with its smallest such neighbour as parent.  That is the path a full sweep to
     `max_len` returns when ties go to the smallest target id.
     """
     starts = sorted(sources)
@@ -129,7 +130,7 @@ def connect_between_sets(
             break
         for t in terminals:
             # rows are sorted, so the first qualifying neighbour is the smallest
-            x = next((x for x in adj[t] if dist.get(x) == depth
+            x = next((x for x in adj[t].tolist() if dist.get(x) == depth
                       and (x, t) not in used_edges), None)
             if x is not None:
                 path = [t, x]
@@ -141,7 +142,7 @@ def connect_between_sets(
                 return tuple(path)
         nxt: list[int] = []
         for x in frontier:
-            for w in adj[x]:
+            for w in adj[x].tolist():
                 if w not in dist and w not in blocked:
                     dist[w] = depth + 1
                     parent[w] = x

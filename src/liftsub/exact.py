@@ -71,7 +71,7 @@ class _Tracker:
 
 def lift_to_simple(G: LiftGraph) -> BaseGraph:
     """The lift as a plain graph on its flat ids fiber*ell + layer."""
-    edges = tuple((u, w) for u, nbrs in enumerate(G.flat_adjacency) for w in nbrs if u < w)
+    edges = tuple((u, w) for u, row in enumerate(G.flat_adjacency) for w in row.tolist() if u < w)
     return BaseGraph(G.num_vertices, edges)
 
 
@@ -410,7 +410,7 @@ def check_property_P(G: LiftGraph, X: Iterable) -> bool:
         raise ValueError(f"X must have exactly n={n} vertices, got {len(flat_x)}")
     adj = G.flat_adjacency
     x_set = set(flat_x)
-    nbr_sets = {u: set(adj[u]) - x_set for u in flat_x}
+    nbr_sets = {u: set(adj[u].tolist()) - x_set for u in flat_x}
     for u, v in combinations(flat_x, 2):
         if len(nbr_sets[u] & nbr_sets[v]) >= 2:
             return True

@@ -5,7 +5,7 @@ base edge with a perfect matching between the two fibers.  A lift stores all
 of them in one (E, ell) integer array: row e is the permutation of base edge
 (i, j) = base.edges[e], i < j, and layer a in fiber i is matched to layer
 row[a] in fiber j.  The sampler writes that array, the file format reads and
-writes it, and the neighbour index is built from it.
+writes it, and the neighbour index is scattered from it.
 """
 
 from __future__ import annotations
@@ -239,12 +239,14 @@ class LiftGraph:
         return self.base.num_vertices * self.ell
 
     @cached_property
-    def flat_adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists indexed by flat vertex id (fiber*ell + layer).
-
-        The one neighbor index, derived from `matchings` on first use: a
-        vertex has one neighbor per base edge at its fiber, so the list holds
-        them in ascending fiber order."""
+    def flat_adjacency(self) -> np.ndarray | tuple[np.ndarray, ...]:
+        """The one neighbour index, scattered from `matchings` on first use:
+        row v (v a flat id fiber*ell + layer) is a read-only intp array of
+        v's neighbours, one per base edge at v's fiber, in ascending fiber
+        order, so sorted.  On a complete base the index is the (N, n-1)
+        table itself; on other bases a tuple of row views of one array.
+        Nothing converts the whole index: a caller that walks rows in Python
+        calls `.tolist()` on each row it reads."""
         base, ell = self.base, self.ell
         ends = base._endpoints
         low = ends[:, :1] * ell + np.arange(ell)    # fiber i's side of each pair
@@ -254,17 +256,14 @@ class LiftGraph:
             adj = np.empty((self.num_vertices, base.num_vertices - 1), dtype=np.intp)
             adj[low, ends[:, 1:] - 1] = high
             adj[high, ends[:, :1]] = low
-            return adj.tolist()
+            adj.flags.writeable = False
+            return adj
         src = np.concatenate((low.ravel(), high.ravel()))
         dst = np.concatenate((high.ravel(), low.ravel()))
-        flat = dst[np.lexsort((dst, src))].tolist()
-        stops = np.cumsum(np.bincount(src, minlength=self.num_vertices)).tolist()
-        return [flat[a:b] for a, b in zip([0] + stops, stops)]
-
-    @cached_property
-    def _matched_layer(self) -> list[int]:
-        """`matchings` as one flat list: row e, layer a at e*ell + a."""
-        return self.matchings.ravel().tolist()
+        flat = dst[np.lexsort((dst, src))]
+        flat.flags.writeable = False
+        stops = np.cumsum(np.bincount(src, minlength=self.num_vertices))
+        return tuple(np.split(flat, stops[:-1]))
 
     def flat_id(self, v: VertexId) -> int:
         """v's flat id fiber*ell + layer.  The one check of a vertex given from
@@ -295,7 +294,7 @@ class LiftGraph:
         if i > j:
             i, a, j, b = j, b, i, a
         e = self.base.edge_index(i, j)  # None within a fiber
-        return e is not None and self._matched_layer[e * ell + a] == b
+        return e is not None and self.matchings.item(e, a) == b
 
 
 def _array_rows(base: BaseGraph, ell: int, m: np.ndarray) -> np.ndarray:

@@ -59,53 +59,38 @@ def check_joined(
     exceeds `budget`.  Sampled mode draws random disjoint pairs: a verdict of
     False comes with a concrete witness, True proves nothing.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode '{mode}'")
+    if mode == "sampled" and trials < 1:
+        raise ValueError("trials must be >= 1")
     N = G.num_vertices
-    masks = lift_to_simple(G).adj
-
-    def crossing(A: Sequence[int], mask_B: int) -> bool:
-        return any(masks[a] & mask_B for a in A)
-
+    if 2 * m > N:
+        return JoinedVerdict(holds=True, witness=None, mode=mode, trials=0)
     if mode == "exhaustive":
-        if 2 * m > N:
-            return JoinedVerdict(holds=True, witness=None, mode="exhaustive", trials=0)
         total = math.comb(N, m) * math.comb(N - m, m) // 2
         if total > budget:
             raise BudgetExceededError(
                 f"exhaustive joinedness needs {total} set pairs, budget is {budget}")
-        vertices = list(range(N))
-        for A in combinations(vertices, m):
-            in_A = set(A)
-            rest = [v for v in vertices if v not in in_A]
-            for B in combinations(rest, m):
-                if B[0] < A[0]:
-                    continue  # unordered pairs: enumerate each {A,B} once
-                mask_B = 0
-                for x in B:
-                    mask_B |= 1 << x
-                if not crossing(A, mask_B):
-                    wa = frozenset(G.vertex_at(a) for a in A)
-                    wb = frozenset(G.vertex_at(b) for b in B)
-                    return JoinedVerdict(holds=False, witness=(wa, wb), mode="exhaustive", trials=0)
-        return JoinedVerdict(holds=True, witness=None, mode="exhaustive", trials=0)
-
-    if mode != "sampled":
-        raise ValueError(f"unknown mode '{mode}'")
-    if 2 * m > N:
-        return JoinedVerdict(holds=True, witness=None, mode="sampled", trials=0)
-    rng = derive_rng(seed)
-    for _ in range(trials):
-        pick = rng.choice(N, size=2 * m, replace=False)
-        A, B = pick[:m].tolist(), pick[m:].tolist()
+        trials = 0
+        # each unordered pair {A, B} once: B's vertices all follow A[0]
+        pairs = ((A, B) for A in combinations(range(N), m)
+                 for B in combinations([v for v in range(A[0] + 1, N) if v not in A], m))
+    else:
+        rng = derive_rng(seed)
+        picks = (rng.choice(N, size=2 * m, replace=False).tolist() for _ in range(trials))
+        pairs = ((pick[:m], pick[m:]) for pick in picks)
+    masks = lift_to_simple(G).adj
+    for A, B in pairs:
         mask_B = 0
         for x in B:
             mask_B |= 1 << x
-        if not crossing(A, mask_B):
-            wa = frozenset(G.vertex_at(a) for a in A)
-            wb = frozenset(G.vertex_at(b) for b in B)
-            return JoinedVerdict(holds=False, witness=(wa, wb), mode="sampled", trials=trials)
-    return JoinedVerdict(holds=True, witness=None, mode="sampled", trials=trials)
+        if not any(masks[a] & mask_B for a in A):
+            witness = (frozenset(map(G.vertex_at, A)), frozenset(map(G.vertex_at, B)))
+            return JoinedVerdict(holds=False, witness=witness, mode=mode, trials=trials)
+    return JoinedVerdict(holds=True, witness=None, mode=mode, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -133,6 +118,12 @@ def check_expansion_into(
     """
     if not (0 < epsilon <= 0.5):
         raise ValueError("epsilon must lie in (0, 1/2]")
+    sizes = [_integer(size, "set size") for size in set_sizes]
+    for size in sizes:
+        if not (1 <= size <= G.num_vertices):
+            raise ValueError(f"set size {size} out of range")
+    if trials < 1 and any(size > 1 for size in sizes):
+        raise ValueError("trials must be >= 1 to sample sets above size 1")
     n, ell = G.base.num_vertices, G.ell
     v_flags = np.zeros(G.num_vertices, dtype=bool)
     per_fiber = [0] * n
@@ -153,7 +144,7 @@ def check_expansion_into(
     def measure(U: Sequence[int]) -> tuple[float, float]:
         hit = set(u for u in U if v_flags[u])
         for u in U:
-            for w in adj[u]:
+            for w in adj[u].tolist():
                 if v_flags[w]:
                     hit.add(w)
         bound = min(epsilon * n * len(U), cap)
@@ -163,9 +154,7 @@ def check_expansion_into(
     violator: Optional[frozenset[VertexId]] = None
     tested = 0
     rng = derive_rng(seed)
-    for size in set_sizes:
-        if not (1 <= size <= G.num_vertices):
-            raise ValueError(f"set size {size} out of range")
+    for size in sizes:
         if size == 1:
             candidates: Iterable[Sequence[int]] = ([u] for u in range(G.num_vertices))
         else:
@@ -234,7 +223,7 @@ def find_cross_matching(G: LiftGraph, transversals: Sequence[Sequence[int]]) -> 
         for u in rows[i]:
             if u in used:
                 continue
-            for w in adj[u]:
+            for w in adj[u].tolist():
                 if w not in used and owner.get(w) == j:
                     used.add(u)
                     used.add(w)

@@ -229,12 +229,20 @@ def test_build_outcome_exclusivity():
 
 
 def scalar_rows(G, branch):
-    """Each branch vertex's neighbour in every fiber, -1 at its own: the
-    adjacency row with -1 inserted."""
+    """Each branch vertex's neighbour in every fiber, -1 at its own, read one
+    base edge at a time from the matchings, not from the neighbour index."""
+    ell, perms = G.ell, G.matchings.tolist()
     rows = []
     for v in branch:
-        row = G.flat_adjacency[v][:]
-        row.insert(v // G.ell, -1)
+        f, a = divmod(v, ell)
+        row = []
+        for g in range(G.base.num_vertices):
+            if g == f:
+                row.append(-1)
+            elif f < g:  # layer a of fiber f meets layer perm[a] of fiber g
+                row.append(g * ell + perms[G.base.edge_index(f, g)][a])
+            else:        # layer perm.index(a) of fiber g meets layer a of f
+                row.append(g * ell + perms[G.base.edge_index(g, f)].index(a))
         rows.append(row)
     return rows
 

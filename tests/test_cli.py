@@ -79,6 +79,12 @@ def test_props_joined_cli(lift_file, capsys):
     assert out["holds"] is True
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_props_joined_cli_refuses_non_positive_trials(lift_file, trials):
+    assert run(["props", "joined", "-i", lift_file, "--m", 2,
+                "--trials", trials]) == 2
+
+
 def test_props_avoidance_cli(tmp_path, capsys):
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps([[i, i] for i in range(3)]))
@@ -226,6 +232,14 @@ def test_props_expansion_cli(tmp_path, capsys):
                 "--sizes", "1,2", "--trials", 50, "--seed", 0]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["tested_sets"] == 81 + 50
+
+
+def test_props_expansion_cli_refuses_zero_trials(tmp_path, capsys):
+    lift = tmp_path / "lift.json"
+    run(["sample", "--n", 9, "--ell", 9, "--seed", 2, "-o", lift])
+    assert run(["props", "expansion", "-i", lift, "--epsilon", 0.05,
+                "--sizes", 2, "--trials", 0]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_props_cross_matching_cli(tmp_path, capsys):

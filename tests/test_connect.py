@@ -4,8 +4,9 @@ vertex ids (fiber*ell + layer)."""
 import numpy as np
 import pytest
 
-from liftsub import (EmbeddingState, ExtendabilityParams, NoPathWithinBudget, complete_base,
-                     connect_between_sets, default_max_len, sample_uniform_lift)
+from liftsub import (BaseGraph, EmbeddingState, ExtendabilityParams, NoPathWithinBudget,
+                     complete_base, connect_between_sets, default_max_len, find_cross_matching,
+                     sample_uniform_lift)
 
 PARAMS = ExtendabilityParams(D=6, m=16)
 MAX_LEN = default_max_len(PARAMS)
@@ -31,6 +32,23 @@ def test_default_max_len():
     # 3 * ceil(log(32) / log(5))
     assert default_max_len(ExtendabilityParams(D=6, m=16)) == 9
     assert default_max_len(ExtendabilityParams(D=34, m=16)) == 3
+
+
+@pytest.mark.parametrize("base", [
+    complete_base(6),
+    BaseGraph(6, tuple(e for e in complete_base(6).edges if e not in ((0, 1), (2, 3)))),
+], ids=["complete", "sparse"])
+def test_routes_and_cross_matchings_hold_python_ints(base):
+    # the index rows are arrays; what leaves a search is plain ints
+    G = sample_uniform_lift(base, 8, seed=3)
+    transversals = [[f * 8 + a for f in range(6)] for a in range(4)]
+    by_pair = find_cross_matching(G, transversals).by_pair
+    assert by_pair and {type(x) for edge in by_pair.values() for x in edge} == {int}
+    # two vertices of one fiber share no neighbour: the path has two or more
+    # internal vertices, so it also holds vertices reached by expansion
+    S = EmbeddingState(G, [0, 1, 2])
+    path = connect_between_sets(G, S, [0], [1, 2], max_len=MAX_LEN)
+    assert len(path) > 3 and {type(x) for x in path} == {int}
 
 
 def test_add_path_rejects_bad_input():

@@ -53,7 +53,7 @@ def test_sampling_is_deterministic():
 
 def test_one_lift_is_the_base():
     G = sample_uniform_lift(complete_base(3), 1, seed=0)
-    assert G.flat_adjacency[G.flat_id(VertexId(0, 0))] == [1, 2]
+    assert G.flat_adjacency[G.flat_id(VertexId(0, 0))].tolist() == [1, 2]
     flat_edges = {(u, w) for u, nbrs in enumerate(G.flat_adjacency) for w in nbrs if u < w}
     assert flat_edges == set(G.base.edges)
 
@@ -169,7 +169,12 @@ def reference_adjacency(G):
 ], ids=["K1", "K2-ell1", "K7", "sparse", "edgeless"])
 def test_flat_adjacency_matches_the_loop_reference(base, ell):
     G = sample_uniform_lift(base, ell, seed=4)
-    assert G.flat_adjacency == reference_adjacency(G)
+    adj = G.flat_adjacency
+    assert [row.tolist() for row in adj] == reference_adjacency(G)
+    assert all(row.dtype == np.intp and not row.flags.writeable for row in adj)
+    if len(adj[0]):  # the index is read-only: no caller can corrupt a row
+        with pytest.raises(ValueError):
+            adj[0][0] = 0
 
 
 def test_is_edge_on_a_sparse_base():

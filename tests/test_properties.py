@@ -59,6 +59,16 @@ def test_exhaustive_budget_refusal():
         check_joined(G, 5, mode="exhaustive", budget=1000)
 
 
+def test_joined_refuses_non_positive_trials_and_non_integer_m():
+    G = sample_uniform_lift(complete_base(4), 3, seed=0)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            check_joined(G, 2, mode="sampled", trials=trials)
+    for m in (True, 1.5):
+        with pytest.raises(TypeError, match="m must be an integer"):
+            check_joined(G, m, mode="sampled")
+
+
 EPS = 1 / 9  # largest epsilon whose hypothesis (9*eps*ell per fiber) is satisfiable
 
 
@@ -90,6 +100,18 @@ def test_expansion_hypothesis_violation_names_fiber():
     V = [v for v in G.vertex_ids() if v.fiber != 2]
     with pytest.raises(ValueError, match="fiber 2"):
         check_expansion_into(G, V, epsilon=EPS, set_sizes=[1])
+
+
+def test_expansion_refuses_zero_trials_above_size_one():
+    G = sample_uniform_lift(complete_base(9), 9, seed=2)
+    V = list(G.vertex_ids())
+    with pytest.raises(ValueError, match="trials"):
+        check_expansion_into(G, V, epsilon=EPS, set_sizes=[2], trials=0)
+    with pytest.raises(TypeError, match="set size"):
+        check_expansion_into(G, V, epsilon=EPS, set_sizes=[2.0])
+    # singletons are enumerated, not sampled: no trials are needed
+    report = check_expansion_into(G, V, epsilon=EPS, set_sizes=[1], trials=0)
+    assert report.tested_sets == G.num_vertices
 
 
 def test_expansion_rejects_bad_epsilon():
